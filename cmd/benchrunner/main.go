@@ -28,7 +28,7 @@ func main() {
 	jsonOut := flag.String("json", "BENCH_PR2.json", "write a machine-readable report to this path (empty disables)")
 	iters := flag.Int("iters", 5, "runs per query for phase-split and overhead medians")
 	obsBudget := flag.Float64("obs-budget", 0, "fail (exit 1) if the obs experiment's overhead ratio exceeds this (0 = report only)")
-	vec2Tolerance := flag.Float64("vec2-tolerance", 0, "fail (exit 1) if vec2 adaptive mode exceeds this multiple of the best static mode on any query (0 = report only)")
+	vec2Tolerance := flag.Float64("vec2-tolerance", 0, "fail (exit 1) if vec2 auto mode exceeds this multiple of the best static mode on any query (0 = report only)")
 	flag.Parse()
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }
@@ -121,7 +121,7 @@ func main() {
 	}
 
 	if want("vec2") {
-		fmt.Println("vectorized joins / ORDER BY / string predicates + adaptive mode sweep ...")
+		fmt.Println("vectorized joins / ORDER BY / string predicates: tuple vs vectorized vs auto sweep ...")
 		rows, err := bench.FigVec2(*iters)
 		if err != nil {
 			fatal(fmt.Errorf("vec2: %w", err))

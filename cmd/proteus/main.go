@@ -239,18 +239,8 @@ func main() {
 					time.Duration(p.MeanNanos).Round(time.Microsecond),
 					time.Duration(p.StddevNanos).Round(time.Microsecond))
 				fmt.Printf("    %s\n", p.Query)
-				if p.Tuple.Runs > 0 {
-					fmt.Printf("    tuple: runs=%d rows/s=%.0f\n", p.Tuple.Runs, p.Tuple.RowsPerSec())
-				}
-				if p.Vectorized.Runs > 0 {
-					fmt.Printf("    vectorized: runs=%d rows/s=%.0f\n", p.Vectorized.Runs, p.Vectorized.RowsPerSec())
-				}
 				if p.Mode != "" {
-					ineligible := ""
-					if p.VecIneligible {
-						ineligible = ", vec-ineligible"
-					}
-					fmt.Printf("    mode: %s (%s%s)\n", p.Mode, p.ModeSource, ineligible)
+					fmt.Printf("    mode: %s (%s)\n", p.Mode, p.ModeSource)
 				}
 			}
 		case strings.HasPrefix(line, ".explain analyze "):

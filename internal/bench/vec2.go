@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"math"
+	"runtime"
 	"strings"
 
 	"proteus/internal/engine"
@@ -11,16 +11,14 @@ import (
 	"proteus/internal/types"
 )
 
-// Vectorized execution round two: joins, ORDER BY, and string predicates,
-// plus the adaptive mode decision. Three systems run identical queries over
-// cache-resident data — both static modes and auto with a feedback store
-// warmed through its whole decision ladder — so the report shows both the
-// kernel speedups and that the measured decision tracks the better static
-// mode.
+// Vectorized execution round two: joins, ORDER BY, and string predicates.
+// Three systems run identical queries over cache-resident data — both forced
+// modes and auto's static per-segment rule — so the report shows both the
+// kernel speedups and that auto compiles the better mode.
 
-// Vec2SysAdaptive names the warmed-feedback auto mode in reports; the two
-// static systems reuse VecSysTuple / VecSysVectorized.
-const Vec2SysAdaptive = "adaptive(auto+feedback)"
+// Vec2SysAuto names auto mode in reports; the two forced systems reuse
+// VecSysTuple / VecSysVectorized.
+const Vec2SysAuto = "auto(VecAuto)"
 
 var vec2Names = []string{"ash", "birch", "cedar", "oak", "pine", "elm", "willow", "maple"}
 
@@ -41,17 +39,16 @@ var Vec2Queries = []struct {
 }
 
 // NewVec2Engine builds the two-table fixture (fact CSV with a string column
-// plus an integer-keyed dimension) and warms the adaptive cache on every
-// benchmark query. warmRuns also sizes the feedback warm-up: auto mode
-// climbs heuristic → explore → measured, and needs enough further runs for
-// stale-loser re-exploration to wash out the cold first measurement.
-func NewVec2Engine(mode exec.VecMode, warmRuns int) (*engine.Engine, error) {
+// plus an integer-keyed dimension) and runs every benchmark query twice, so
+// the adaptive cache holds every column the queries read.
+func NewVec2Engine(mode exec.VecMode) (*engine.Engine, error) {
 	e := engine.New(engine.Config{
 		CacheEnabled: true,
 		Parallelism:  1,
 		Vectorized:   mode,
-		// Plan caching off: warm-up runs must recompile so the mode decision
-		// is re-made against the accumulating feedback.
+		// Plan caching off: the timed programs are prepared after warm-up,
+		// against the cache-resident data, so cached plans would only hold
+		// memory.
 		PlanCacheSize: -1,
 	})
 	var sb strings.Builder
@@ -83,11 +80,8 @@ func NewVec2Engine(mode exec.VecMode, warmRuns int) (*engine.Engine, error) {
 	if err := e.Register("d", "mem://vdim2.csv", "csv", dimSchema, plugin.Options{}); err != nil {
 		return nil, fmt.Errorf("bench: registering vbench2 dim: %w", err)
 	}
-	if warmRuns < 2 {
-		warmRuns = 2
-	}
 	for _, q := range Vec2Queries {
-		for i := 0; i < warmRuns; i++ {
+		for i := 0; i < 2; i++ {
 			if _, err := e.QuerySQL(q.SQL); err != nil {
 				return nil, fmt.Errorf("bench: warming %q: %w", q.SQL, err)
 			}
@@ -98,12 +92,14 @@ func NewVec2Engine(mode exec.VecMode, warmRuns int) (*engine.Engine, error) {
 
 // FigVec2 measures every query under all three systems and reports one Row
 // per (query, system) with Exp "vec2". All programs are prepared up front
-// and the systems are timed interleaved — each iteration runs every
-// (system, query) pair back to back — so slow phases of the host machine
-// hit all three systems alike instead of biasing whichever ran last. The
-// reported figure is the min across iterations: the systems run identical
-// deterministic work, so the fastest observation is the cleanest estimate
-// of the code path and keeps the 5% adaptive gate off scheduler noise.
+// and timed interleaved: each iteration runs one query under every system
+// back to back, so slow phases of the host hit the systems alike, and the
+// order rotates per iteration so no system always runs first or last.
+// Every timed run starts from a fresh collection, so no run pays for the
+// garbage the run before it left. The reported figure is the median across
+// iterations: on a shared host run times are bimodal, with rare fast
+// phases, and a min-of-iterations compares whichever system happened to
+// catch one.
 func FigVec2(iters int) ([]Row, error) {
 	if iters < 1 {
 		iters = 1
@@ -111,22 +107,18 @@ func FigVec2(iters int) ([]Row, error) {
 	systems := []struct {
 		system string
 		mode   exec.VecMode
-		warm   int
 	}{
-		{VecSysTuple, exec.VecOff, 2},
-		{VecSysVectorized, exec.VecOn, 2},
-		// Twelve warm runs per query carry auto through the whole ladder —
-		// heuristic, explore, measured, and one stale-loser re-exploration —
-		// so the cold first run cannot fix the decision before timing starts.
-		{Vec2SysAdaptive, exec.VecAuto, 12},
+		{VecSysTuple, exec.VecOff},
+		{VecSysVectorized, exec.VecOn},
+		{Vec2SysAuto, exec.VecAuto},
 	}
 	type cell struct {
 		prep *engine.Prepared
-		best float64
+		secs []float64
 	}
 	progs := make([][]cell, len(systems))
 	for si, m := range systems {
-		e, err := NewVec2Engine(m.mode, m.warm)
+		e, err := NewVec2Engine(m.mode)
 		if err != nil {
 			return nil, err
 		}
@@ -136,13 +128,14 @@ func FigVec2(iters int) ([]Row, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench: preparing %q: %w", q.SQL, err)
 			}
-			progs[si][qi] = cell{prep: prep, best: math.MaxFloat64}
+			progs[si][qi] = cell{prep: prep}
 		}
 	}
 	for i := 0; i < iters; i++ {
-		for si := range systems {
-			for qi, q := range Vec2Queries {
-				c := &progs[si][qi]
+		for qi, q := range Vec2Queries {
+			for k := range systems {
+				c := &progs[(i+k)%len(systems)][qi]
+				runtime.GC()
 				sec, err := timeIt(func() error {
 					_, err := c.prep.Program.Run()
 					return err
@@ -150,9 +143,7 @@ func FigVec2(iters int) ([]Row, error) {
 				if err != nil {
 					return nil, fmt.Errorf("bench: running %q: %w", q.SQL, err)
 				}
-				if sec < c.best {
-					c.best = sec
-				}
+				c.secs = append(c.secs, sec)
 			}
 		}
 	}
@@ -161,7 +152,7 @@ func FigVec2(iters int) ([]Row, error) {
 		for qi, q := range Vec2Queries {
 			rows = append(rows, Row{
 				Exp: "vec2", Query: q.Name, System: m.system,
-				Seconds: progs[si][qi].best,
+				Seconds: median(progs[si][qi].secs),
 			})
 		}
 	}
@@ -179,18 +170,18 @@ func vec2Times(rows []Row, query string) (tup, vec, auto float64) {
 			tup = r.Seconds
 		case VecSysVectorized:
 			vec = r.Seconds
-		case Vec2SysAdaptive:
+		case Vec2SysAuto:
 			auto = r.Seconds
 		}
 	}
 	return
 }
 
-// PrintVec2 renders the figure: static speedup plus the adaptive mode's
-// distance from the better static mode.
+// PrintVec2 renders the figure: forced-mode speedup plus auto's distance
+// from the better forced mode.
 func PrintVec2(w interface{ Write([]byte) (int, error) }, rows []Row) {
-	fmt.Fprintln(w, "== vec2: joins, ORDER BY, string predicates — tuple vs vectorized vs adaptive (seconds) ==")
-	fmt.Fprintf(w, "%-16s%12s%12s%12s%10s%12s\n", "query", "tuple", "vectorized", "adaptive", "speedup", "auto/best")
+	fmt.Fprintln(w, "== vec2: joins, ORDER BY, string predicates — tuple vs vectorized vs auto (seconds) ==")
+	fmt.Fprintf(w, "%-16s%12s%12s%12s%10s%12s\n", "query", "tuple", "vectorized", "auto", "speedup", "auto/best")
 	for _, q := range Vec2Queries {
 		tup, vec, auto := vec2Times(rows, q.Name)
 		if tup == 0 || vec == 0 || auto == 0 {
@@ -206,9 +197,9 @@ func PrintVec2(w interface{ Write([]byte) (int, error) }, rows []Row) {
 	fmt.Fprintln(w)
 }
 
-// Vec2Gate checks the acceptance bar: on every covered query, adaptive auto
-// with a warm feedback store stays within tolerance of the better static
-// mode (tolerance 1.05 = within 5%). Returns nil when all queries pass.
+// Vec2Gate checks the acceptance bar: on every covered query, auto stays
+// within tolerance of the better forced mode (tolerance 1.05 = within 5%).
+// Returns nil when all queries pass.
 func Vec2Gate(rows []Row, tolerance float64) error {
 	var fails []string
 	for _, q := range Vec2Queries {
@@ -221,7 +212,7 @@ func Vec2Gate(rows []Row, tolerance float64) error {
 			best = vec
 		}
 		if auto > best*tolerance {
-			fails = append(fails, fmt.Sprintf("%s: adaptive %.6fs vs best static %.6fs (%.3fx > %.2fx)",
+			fails = append(fails, fmt.Sprintf("%s: auto %.6fs vs best static %.6fs (%.3fx > %.2fx)",
 				q.Name, auto, best, auto/best, tolerance))
 		}
 	}

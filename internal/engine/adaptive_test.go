@@ -2,152 +2,67 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"proteus/internal/exec"
+	"proteus/internal/obs"
 	"proteus/internal/plugin"
 	"proteus/internal/types"
 )
 
-// TestAdaptiveModeMeasuredWinner seeds the feedback store with measurements
-// for both modes and asserts the compiler picks the observed rows/sec
-// winner — in both directions.
-func TestAdaptiveModeMeasuredWinner(t *testing.T) {
-	q := "SELECT SUM(val) FROM big WHERE id < 2000"
-
-	// Vectorized measured 10x faster: auto must compile the batch path.
-	e := newVecEngine(t, Config{Parallelism: 1}) // Vectorized defaults to auto
+// TestAutoModeIsStatic pins auto mode as the compiler's one static rule:
+// repeated runs of the same plan never change its mode (no feedback, no
+// exploration), a sub-two-batch dataset stays tuple, and the forced modes
+// report their config as the source.
+func TestAutoModeIsStatic(t *testing.T) {
+	// Plan caching off so every run recompiles and re-decides; the data
+	// cache on so later runs scan cache-resident columns.
+	e := newVecEngine(t, Config{Parallelism: 1, Vectorized: exec.VecAuto,
+		CacheEnabled: true, PlanCacheSize: -1})
+	q := "SELECT SUM(val) FROM big WHERE id < 2500" // big spans ≥ 2 batches
+	for run := 1; run <= 6; run++ {
+		if _, err := e.QuerySQL(q); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		want := []obs.ModeDecisionCount{{Mode: "vectorized", Source: "heuristic", Count: int64(run)}}
+		if got := e.Metrics().ModeDecisions; !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: mode decisions = %+v, want %+v", run, got, want)
+		}
+	}
 	p, err := e.PrepareSQL(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := p.Program.Fingerprint
-	e.feedback.Observe(fp, q, 10*time.Millisecond, 1, false, false)
-	e.feedback.Observe(fp, q, time.Millisecond, 1, true, false)
-	p, err = e.PrepareSQL(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := p.Explain(); !strings.Contains(out, "mode: vectorized (measured)") {
-		t.Errorf("EXPLAIN does not report the measured vectorized decision:\n%s", out)
-	}
-	if !p.Program.Vectorized {
-		t.Error("measured vectorized winner compiled tuple-at-a-time")
+	if out := p.Explain(); !strings.Contains(out, "mode: vectorized (heuristic)") {
+		t.Errorf("warm auto plan did not compile vectorized by the heuristic:\n%s", out)
 	}
 
-	// Tuple measured 10x faster on a fresh store: auto must flip back.
-	e2 := newVecEngine(t, Config{Parallelism: 1})
-	e2.feedback.Observe(fp, q, time.Millisecond, 1, false, false)
-	e2.feedback.Observe(fp, q, 10*time.Millisecond, 1, true, false)
-	p, err = e2.PrepareSQL(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := p.Explain(); !strings.Contains(out, "mode: tuple (measured)") {
-		t.Errorf("EXPLAIN does not report the measured tuple decision:\n%s", out)
-	}
-	if p.Program.Vectorized {
-		t.Error("measured tuple winner still compiled vectorized")
-	}
-}
-
-// TestAdaptiveModeExplores: a plan warm in one mode but unmeasured in the
-// other gets one forced run of the unmeasured mode.
-func TestAdaptiveModeExplores(t *testing.T) {
-	q := "SELECT SUM(val) FROM big WHERE id < 1500"
-	e := newVecEngine(t, Config{Parallelism: 1})
-	p, err := e.PrepareSQL(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := p.Program.Fingerprint
-	e.feedback.Observe(fp, q, time.Millisecond, 1, false, false)
-	e.feedback.Observe(fp, q, time.Millisecond, 1, false, false)
-	p, err = e.PrepareSQL(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := p.Explain(); !strings.Contains(out, "mode: vectorized (explore)") {
-		t.Errorf("EXPLAIN does not report the exploratory decision:\n%s", out)
-	}
-	if !p.Program.Vectorized {
-		t.Error("explore asked for vectorization but compiled tuple-at-a-time")
-	}
-}
-
-// TestAdaptiveModeExploreIneligible: exploring a plan that cannot vectorize
-// marks it vec-ineligible so auto mode stops re-exploring it.
-func TestAdaptiveModeExploreIneligible(t *testing.T) {
-	// A whole-record yield needs the full record (path ""), which no batch
-	// kernel produces — the plan is structurally vec-ineligible.
-	q := "for { n <- big } yield bag n"
-	e := newVecEngine(t, Config{Parallelism: 1})
-	p, err := e.PrepareComp(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := p.Program.Fingerprint
-	e.feedback.Observe(fp, q, time.Millisecond, 100, false, false)
-	e.feedback.Observe(fp, q, time.Millisecond, 100, false, false)
-
-	p, err = e.PrepareComp(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := p.Explain(); !strings.Contains(out, "mode: tuple (explore)") {
-		t.Errorf("EXPLAIN does not report the failed exploration:\n%s", out)
-	}
-	if p.Program.Vectorized {
-		t.Error("whole-record yield compiled vectorized")
-	}
-	ps, ok := e.feedback.Lookup(fp)
-	if !ok || !ps.VecIneligible {
-		t.Fatalf("plan not marked vec-ineligible after failed explore: %+v", ps)
-	}
-
-	// The next compile must fall back to the heuristic, not explore again.
-	p, err = e.PrepareComp(q)
+	small := newTestEngine(t, Config{Vectorized: exec.VecAuto}) // 5-row datasets
+	p, err = small.PrepareSQL("SELECT SUM(val) FROM nums")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out := p.Explain(); !strings.Contains(out, "mode: tuple (heuristic)") {
-		t.Errorf("vec-ineligible plan explored again:\n%s", out)
+		t.Errorf("sub-two-batch dataset did not compile tuple by the heuristic:\n%s", out)
 	}
-}
 
-// TestAdaptiveModeConvergesThroughRuns drives a real query through the full
-// decision ladder — heuristic, explore, measured — with nothing seeded, and
-// checks the decision counters surface in the metrics snapshot.
-func TestAdaptiveModeConvergesThroughRuns(t *testing.T) {
-	e := newVecEngine(t, Config{Parallelism: 1, PlanCacheSize: -1})
-	q := "SELECT SUM(val) FROM big WHERE id < 2500"
-	for i := 0; i < 4; i++ {
-		if _, err := e.QuerySQL(q); err != nil {
-			t.Fatalf("run %d: %v", i, err)
+	for _, c := range []struct {
+		mode exec.VecMode
+		want string
+	}{
+		{exec.VecOn, "mode: vectorized (config)"},
+		{exec.VecOff, "mode: tuple (config)"},
+	} {
+		p, err := newVecEngine(t, Config{Parallelism: 1, Vectorized: c.mode}).PrepareSQL(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	snap := e.feedback.Snapshot()
-	if len(snap) == 0 {
-		t.Fatal("feedback store is empty after four runs")
-	}
-	ps := snap[0]
-	if ps.Tuple.Runs == 0 || ps.Vectorized.Runs == 0 {
-		t.Fatalf("four auto runs did not measure both modes: tuple=%d vectorized=%d",
-			ps.Tuple.Runs, ps.Vectorized.Runs)
-	}
-	if ps.ModeSource != "measured" {
-		t.Errorf("final decision source = %q, want measured (stats %+v)", ps.ModeSource, ps)
-	}
-	found := false
-	for _, d := range e.Metrics().ModeDecisions {
-		if d.Source == "measured" && d.Count > 0 {
-			found = true
+		if out := p.Explain(); !strings.Contains(out, c.want) {
+			t.Errorf("Vectorized=%d: EXPLAIN lacks %q:\n%s", c.mode, c.want, out)
 		}
-	}
-	if !found {
-		t.Errorf("no measured decision in metrics: %+v", e.Metrics().ModeDecisions)
 	}
 }
 

@@ -49,7 +49,7 @@ func (e *Engine) clusterExec(ctx context.Context, lang, query string, p *Prepare
 	}
 	if p.Sort != nil {
 		fragments := res.Fragments
-		res, err = orderAndLimit(res, p.Sort.By, p.Sort.Desc, p.Sort.Limit)
+		res, err = exec.OrderAndLimit(res, p.Sort.By, p.Sort.Desc, p.Sort.Limit)
 		if err != nil {
 			return nil, spans, true, err
 		}
@@ -61,7 +61,7 @@ func (e *Engine) clusterExec(ctx context.Context, lang, query string, p *Prepare
 // runPrepared executes a prepared query on the untraced path: distributed
 // when the coordinator takes it, the local program otherwise. The per-plan
 // feedback store only observes local runs — distributed timings would
-// poison the local mode decision.
+// skew the local plan's statistics.
 func (e *Engine) runPrepared(ctx context.Context, lang, query string, p *Prepared) (*exec.Result, error) {
 	if e.cluster != nil {
 		res, _, handled, err := e.clusterExec(ctx, lang, query, p)

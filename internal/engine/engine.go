@@ -102,9 +102,11 @@ type Config struct {
 	MaxConcurrentQueries int
 	// Vectorized selects the execution mode for eligible pipeline segments
 	// (scan→filter chains over scalar columns feeding an aggregate):
-	// exec.VecAuto (default) vectorizes when the input is large enough to
-	// amortize batch setup, exec.VecOn forces batch kernels wherever
-	// eligible, exec.VecOff forces the tuple-at-a-time path everywhere.
+	// exec.VecAuto (default) applies the compiler's one static rule —
+	// vectorize a batch-capable segment over a native batch producer with
+	// at least two batches of input, tuple elsewhere — with no runtime
+	// feedback; exec.VecOn forces batch kernels wherever eligible,
+	// exec.VecOff forces the tuple-at-a-time path everywhere.
 	Vectorized exec.VecMode
 	// PlanCacheSize bounds the compiled-plan cache in entries (0 = default
 	// 64; negative disables plan caching entirely).
@@ -253,7 +255,7 @@ func New(cfg Config) *Engine {
 // setting; exec falls back to a serial compile when the plan cannot be
 // morsel-partitioned.
 func (e *Engine) compileProg(plan algebra.Node) (*exec.Program, error) {
-	return e.compileProgWith(plan, nil, nil, e.vectorize)
+	return e.compileProgWith(plan, nil, nil)
 }
 
 // compileProgWith compiles like compileProg but additionally requests
@@ -261,9 +263,9 @@ func (e *Engine) compileProg(plan algebra.Node) (*exec.Program, error) {
 // ANALYZE), wiring the engine's cumulative metrics into the run. sortSpec,
 // when non-nil, pushes the statement's ORDER BY / LIMIT into compilation so
 // an eligible plan can sort columns before boxing rows (Program.Sorted
-// reports whether it did); mode is the per-plan execution-mode decision.
-func (e *Engine) compileProgWith(plan algebra.Node, spec *exec.ProfileSpec, sortSpec *exec.SortSpec, mode exec.VecMode) (*exec.Program, error) {
-	env := &exec.Env{Catalog: e, Caches: e.caches, Stats: e.stats, MemBudget: e.memBudget, Vectorize: mode, Sort: sortSpec}
+// reports whether it did).
+func (e *Engine) compileProgWith(plan algebra.Node, spec *exec.ProfileSpec, sortSpec *exec.SortSpec) (*exec.Program, error) {
+	env := &exec.Env{Catalog: e, Caches: e.caches, Stats: e.stats, MemBudget: e.memBudget, Vectorize: e.vectorize, Sort: sortSpec}
 	if spec != nil {
 		env.Profile = spec
 		env.Metrics = e.metrics
@@ -271,72 +273,22 @@ func (e *Engine) compileProgWith(plan algebra.Node, spec *exec.ProfileSpec, sort
 	return exec.CompileParallel(plan, env, e.parallelism)
 }
 
-// modeExploreRuns is how many runs one mode must accumulate, with the other
-// mode unmeasured, before auto mode forces one exploratory run of the other
-// — giving the feedback store a measurement for both sides of the choice.
-const modeExploreRuns = 2
-
-// modeStaleRatio triggers re-exploration of a measured loser: once the
-// winning mode has this many times the loser's run count, the loser's
-// measurement is considered stale and it gets one fresh run. Without this a
-// mode that lost its first (possibly cold-cache) comparison would never be
-// re-measured; with it the steady state spends at most ~1/(ratio+1) of runs
-// refreshing the loser, and the throughput EWMA lets a refreshed loser win.
-const modeStaleRatio = 4
-
-// chooseVecMode decides the execution mode for one plan fingerprint. A
-// non-auto config is final ("config"). In auto mode the per-plan feedback
-// store drives the choice: with both modes measured the higher observed
-// rows/sec wins ("measured"), except that a loser whose measurements have
-// gone stale is forced one fresh run ("explore"); with one mode warm and the
-// other unmeasured, the unmeasured one is forced once so it gets measured
-// ("explore") — unless a previous forced compile proved the plan cannot
-// vectorize; cold plans fall back to the compiler's static cardinality
-// heuristic ("heuristic").
-func (e *Engine) chooseVecMode(fp string) (exec.VecMode, string) {
-	if e.vectorize != exec.VecAuto {
-		return e.vectorize, "config"
-	}
-	ps, ok := e.feedback.Lookup(fp)
-	if !ok {
-		return exec.VecAuto, "heuristic"
-	}
-	tuple, vec := ps.Tuple, ps.Vectorized
-	switch {
-	case tuple.Runs > 0 && vec.Runs > 0:
-		if tuple.Runs >= modeStaleRatio*vec.Runs && !ps.VecIneligible {
-			return exec.VecOn, "explore"
-		}
-		if vec.Runs >= modeStaleRatio*tuple.Runs {
-			return exec.VecOff, "explore"
-		}
-		if vec.RowsPerSec() >= tuple.RowsPerSec() {
-			return exec.VecOn, "measured"
-		}
-		return exec.VecOff, "measured"
-	case tuple.Runs >= modeExploreRuns && vec.Runs == 0 && !ps.VecIneligible:
-		return exec.VecOn, "explore"
-	case vec.Runs >= modeExploreRuns && tuple.Runs == 0:
-		return exec.VecOff, "explore"
-	}
-	return exec.VecAuto, "heuristic"
-}
-
 // noteModeDecision records the outcome of one mode decision: into the plan's
-// EXPLAIN notes, the decision counters, and the feedback store. An explore
-// that asked for vectorization but compiled tuple-at-a-time marks the plan
-// vec-ineligible so auto mode stops re-exploring it.
-func (e *Engine) noteModeDecision(fp string, prog *exec.Program, chosen exec.VecMode, source string) {
-	mode := "tuple"
+// EXPLAIN notes, the decision counters, and the feedback store. A non-auto
+// config is final ("config"); under auto the compiler's static rule decides
+// per segment ("heuristic"): vectorize a batch-capable segment over a native
+// batch producer with at least two batches of input, tuple elsewhere.
+func (e *Engine) noteModeDecision(fp string, prog *exec.Program) {
+	mode, source := "tuple", "heuristic"
 	if prog.Vectorized {
 		mode = "vectorized"
+	}
+	if e.vectorize != exec.VecAuto {
+		source = "config"
 	}
 	prog.Explain = append(prog.Explain, fmt.Sprintf("mode: %s (%s)", mode, source))
 	e.metrics.CountModeDecision(mode, source)
 	e.feedback.NoteModeDecision(fp, "", mode, source)
-	if source == "explore" && chosen == exec.VecOn && !prog.Vectorized {
-		e.feedback.NoteVecIneligible(fp)
-	}
 }
 
 // Mem exposes the memory manager (data generators write synthetic files
@@ -508,15 +460,13 @@ func (e *Engine) prepare(ctx context.Context, c *calculus.Comprehension, tr *tra
 			Limit: c.Limit,
 		}
 	}
-	fp := plan.Fingerprint()
-	mode, source := e.chooseVecMode(fp)
 	endCompile := tr.phase(obs.PhaseCompile)
-	prog, err := e.compileProgWith(plan, spec, sortSpec, mode)
+	prog, err := e.compileProgWith(plan, spec, sortSpec)
 	endCompile()
 	if err != nil {
 		return nil, err
 	}
-	e.noteModeDecision(fp, prog, mode, source)
+	e.noteModeDecision(plan.Fingerprint(), prog)
 	if sortSpec != nil && !prog.Sorted {
 		orderBy, desc, limit := sortSpec.By, sortSpec.Desc, sortSpec.Limit
 		prog.WrapResult(func(res *exec.Result) (*exec.Result, error) {
@@ -525,40 +475,10 @@ func (e *Engine) prepare(ctx context.Context, c *calculus.Comprehension, tr *tra
 			if err := prog.ChargeMem(64 * int64(len(res.Rows))); err != nil {
 				return nil, err
 			}
-			return orderAndLimit(res, orderBy, desc, limit)
+			return exec.OrderAndLimit(res, orderBy, desc, limit)
 		})
 	}
 	return &Prepared{Plan: plan, Program: prog, Sort: sortSpec}, nil
-}
-
-// orderAndLimit validates the ORDER BY columns against the result shape and
-// delegates the sort and truncation to exec.OrderAndLimit's columnar index
-// sort.
-func orderAndLimit(res *exec.Result, orderBy []string, desc []bool, limit int) (*exec.Result, error) {
-	// Output rows are records carrying the select-list names (bag yields
-	// report a single synthetic column, so validate against an actual row
-	// when one exists).
-	for _, col := range orderBy {
-		found := false
-		for _, c := range res.Cols {
-			if c == col {
-				found = true
-			}
-		}
-		if !found && len(res.Rows) > 0 {
-			_, found = res.Rows[0].Field(col)
-		}
-		if !found {
-			// An empty result has no rows to validate the column against
-			// (bag yields report a synthetic column name); sorting zero
-			// rows is a no-op, not an error.
-			if len(res.Rows) == 0 {
-				continue
-			}
-			return nil, fmt.Errorf("engine: ORDER BY column %q is not in the output (%v)", col, res.Cols)
-		}
-	}
-	return exec.OrderAndLimit(res, orderBy, desc, limit)
 }
 
 // PrepareSQL compiles a SQL statement without running it.
@@ -699,7 +619,7 @@ func (e *Engine) runPlain(ctx context.Context, query string, prog *exec.Program)
 	if res != nil {
 		rows = int64(len(res.Rows))
 	}
-	e.feedback.Observe(prog.Fingerprint, query, time.Since(t0), rows, prog.Vectorized, err != nil)
+	e.feedback.Observe(prog.Fingerprint, query, time.Since(t0), rows, err != nil)
 	return res, err
 }
 

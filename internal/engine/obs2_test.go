@@ -259,8 +259,8 @@ func TestPlanFeedbackBothPaths(t *testing.T) {
 	if ost.PhaseMeanNanos[obs.PhaseIndex(obs.PhaseExecute)] <= 0 {
 		t.Errorf("observed path recorded no execute-phase mean: %v", ost.PhaseMeanNanos)
 	}
-	if ost.Tuple.Runs+ost.Vectorized.Runs != 2 {
-		t.Errorf("mode split = %+v / %+v, want 2 runs total", ost.Tuple, ost.Vectorized)
+	if ost.Mode != "tuple" || ost.ModeSource != "heuristic" {
+		t.Errorf("mode decision = %s (%s), want tuple (heuristic) for a 5-row scan", ost.Mode, ost.ModeSource)
 	}
 
 	// Disabled store: negative size tracks nothing.

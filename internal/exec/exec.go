@@ -25,8 +25,9 @@ type Catalog interface {
 type VecMode int
 
 const (
-	// VecAuto vectorizes capable segments over datasets large enough to
-	// amortize the batch machinery (the default).
+	// VecAuto vectorizes capable segments over native batch producers with
+	// at least two batches of input, tuple elsewhere (the default; the rule
+	// is vecEligible's, static per compile).
 	VecAuto VecMode = iota
 	// VecOn vectorizes every capable segment regardless of dataset size.
 	VecOn

@@ -13,6 +13,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"proteus/internal/algebra"
@@ -387,11 +388,24 @@ func (c *Compiler) tryVecCollect(red *algebra.Reduce) (func(r *vbuf.Regs) error,
 }
 
 // OrderAndLimit sorts materialized rows by the named output columns and
-// truncates to the limit (0 = no limit). The sort keys are extracted
-// column-wise first — one Field lookup per row per key — and an index sort
-// with index tiebreak reproduces the stable row sort without moving boxed
-// rows until the final permutation.
+// truncates to the limit (0 = no limit). Every ORDER BY column must be an
+// output column — or, since bag yields report a single synthetic column, a
+// field of the first row; an empty result sorts trivially and validates
+// nothing. The sort keys are extracted column-wise first — one Field lookup
+// per row per key — and an index sort with index tiebreak reproduces the
+// stable row sort without moving boxed rows until the final permutation.
 func OrderAndLimit(res *Result, orderBy []string, desc []bool, limit int) (*Result, error) {
+	if len(res.Rows) == 0 {
+		return res, nil
+	}
+	for _, col := range orderBy {
+		if slices.Contains(res.Cols, col) {
+			continue
+		}
+		if _, ok := res.Rows[0].Field(col); !ok {
+			return nil, fmt.Errorf("exec: ORDER BY column %q is not in the output (%v)", col, res.Cols)
+		}
+	}
 	if len(orderBy) > 0 && len(res.Rows) > 1 {
 		keys := make([][]types.Value, len(orderBy))
 		for k, col := range orderBy {

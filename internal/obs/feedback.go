@@ -1,9 +1,7 @@
 // The per-plan runtime feedback store (observability v2): a bounded map from
 // compiled-plan fingerprint to running execution statistics. The fingerprint
 // is the same structural key the compiled-plan cache uses, so a cached plan's
-// accumulated history survives recompilation and is available to the
-// optimizer as a measured cost model (ROADMAP item 3: adaptive tuple-vs-
-// vectorized mode choice from observed rows/sec, not static heuristics).
+// accumulated history survives recompilation.
 package obs
 
 import (
@@ -12,51 +10,6 @@ import (
 	"sync"
 	"time"
 )
-
-// ModeStats accumulates execution totals for one execution mode (tuple-at-
-// a-time or vectorized), enough to derive observed rows/sec.
-type ModeStats struct {
-	Runs  int64 `json:"runs"`
-	Rows  int64 `json:"rows"`
-	Nanos int64 `json:"nanos"`
-	// Ewma is an exponentially-weighted moving average of per-run rows/sec.
-	// A plan's first run often pays a one-time cost (cold columnar cache,
-	// page cache misses) that would skew a lifetime average forever; the
-	// EWMA lets recent steady-state runs dominate the mode decision.
-	Ewma float64 `json:"ewma_rows_per_sec,omitempty"`
-}
-
-// ewmaAlpha weights the newest run in the throughput EWMA. 0.6 forgets a
-// cold first run within two steady-state runs while still damping noise.
-const ewmaAlpha = 0.6
-
-// fold adds one run's totals to the mode's accumulators.
-func (m *ModeStats) fold(total time.Duration, rows int64) {
-	m.Runs++
-	m.Rows += rows
-	m.Nanos += int64(total)
-	if total <= 0 {
-		return
-	}
-	rps := float64(rows) / (float64(total) / 1e9)
-	if m.Runs == 1 {
-		m.Ewma = rps
-		return
-	}
-	m.Ewma = ewmaAlpha*rps + (1-ewmaAlpha)*m.Ewma
-}
-
-// RowsPerSec is the mode's observed throughput (0 when unmeasured): the
-// recency-weighted EWMA when available, else the lifetime average.
-func (m ModeStats) RowsPerSec() float64 {
-	if m.Ewma > 0 {
-		return m.Ewma
-	}
-	if m.Nanos <= 0 {
-		return 0
-	}
-	return float64(m.Rows) / (float64(m.Nanos) / 1e9)
-}
 
 // planStats is the mutable per-fingerprint record (guarded by the store's
 // lock).
@@ -71,17 +24,12 @@ type planStats struct {
 	// executions contribute — plan-cache hits skip the front-end phases).
 	phaseMean  [5]float64
 	phaseExecs [5]int64
-	tuple      ModeStats
-	vectorized ModeStats
 	// Last compile-time mode decision for the plan ("tuple"/"vectorized")
-	// and how it was made ("measured"/"explore"/"heuristic"/"config").
+	// and how it was made ("heuristic"/"config").
 	mode       string
 	modeSource string
-	// vecIneligible records that a forced batch compilation produced no
-	// vectorized segment, so auto mode stops re-exploring the plan.
-	vecIneligible bool
-	lastUsed      int64 // store tick, for eviction
-	query         string
+	lastUsed   int64 // store tick, for eviction
+	query      string
 }
 
 // PlanStats is a point-in-time copy of one plan's feedback record.
@@ -99,18 +47,12 @@ type PlanStats struct {
 	// PhaseMeanNanos holds per-phase mean nanos in Phases order; entries are
 	// 0 for phases never observed (e.g. plan-cache hits skip parse..compile).
 	PhaseMeanNanos [5]float64 `json:"phase_mean_nanos"`
-	Tuple          ModeStats  `json:"tuple"`
-	Vectorized     ModeStats  `json:"vectorized"`
 	// Mode and ModeSource describe the last compile-time execution-mode
 	// decision for this plan: which engine it got ("tuple"/"vectorized") and
-	// why ("measured" feedback, one-off "explore", static "heuristic", or
-	// forced by "config"). Empty until the plan is compiled with decision
-	// recording in place.
+	// why (auto's static "heuristic", or forced by "config"). Empty until
+	// the plan is compiled with decision recording in place.
 	Mode       string `json:"mode,omitempty"`
 	ModeSource string `json:"mode_source,omitempty"`
-	// VecIneligible marks plans a forced batch compile could not vectorize;
-	// auto mode stops exploring them.
-	VecIneligible bool `json:"vec_ineligible,omitempty"`
 }
 
 // PlanFeedback is the bounded feedback store. All methods are
@@ -167,7 +109,7 @@ func (f *PlanFeedback) evictOne() {
 }
 
 // observe folds one execution into the record. Caller holds mu.
-func (ps *planStats) observe(total time.Duration, rows int64, vectorized, failed bool) {
+func (ps *planStats) observe(total time.Duration, rows int64, failed bool) {
 	ps.execs++
 	if failed {
 		ps.errs++
@@ -177,22 +119,17 @@ func (ps *planStats) observe(total time.Duration, rows int64, vectorized, failed
 	delta := x - ps.mean
 	ps.mean += delta / float64(ps.execs)
 	ps.m2 += delta * (x - ps.mean)
-	m := &ps.tuple
-	if vectorized {
-		m = &ps.vectorized
-	}
-	m.fold(total, rows)
 }
 
 // Observe records one execution known only by its totals — the plain
 // (unobserved) query path, where no QueryProfile exists.
-func (f *PlanFeedback) Observe(fp, query string, total time.Duration, rows int64, vectorized, failed bool) {
+func (f *PlanFeedback) Observe(fp, query string, total time.Duration, rows int64, failed bool) {
 	if f == nil || fp == "" {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.get(fp, query).observe(total, rows, vectorized, failed)
+	f.get(fp, query).observe(total, rows, failed)
 }
 
 // ObserveProfile records one fully-profiled execution, including the
@@ -204,7 +141,7 @@ func (f *PlanFeedback) ObserveProfile(q *QueryProfile) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	ps := f.get(q.Fingerprint, q.Query)
-	ps.observe(q.Total, q.Rows, q.Vectorized, q.Err != "")
+	ps.observe(q.Total, q.Rows, q.Err != "")
 	for _, s := range q.Phases {
 		i := PhaseIndex(s.Name)
 		if i < 0 {
@@ -217,7 +154,7 @@ func (f *PlanFeedback) ObserveProfile(q *QueryProfile) {
 
 // NoteModeDecision records a compile-time execution-mode decision for the
 // plan: mode is the compiled outcome ("tuple"/"vectorized"), source how the
-// choice was made ("measured"/"explore"/"heuristic"/"config").
+// choice was made ("heuristic"/"config").
 func (f *PlanFeedback) NoteModeDecision(fp, query, mode, source string) {
 	if f == nil || fp == "" {
 		return
@@ -226,17 +163,6 @@ func (f *PlanFeedback) NoteModeDecision(fp, query, mode, source string) {
 	defer f.mu.Unlock()
 	ps := f.get(fp, query)
 	ps.mode, ps.modeSource = mode, source
-}
-
-// NoteVecIneligible marks a plan whose forced batch compilation produced no
-// vectorized segment, so adaptive mode selection stops exploring it.
-func (f *PlanFeedback) NoteVecIneligible(fp string) {
-	if f == nil || fp == "" {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.get(fp, "").vecIneligible = true
 }
 
 // Lookup returns the stats for one fingerprint (ok=false when untracked).
@@ -263,11 +189,8 @@ func (ps *planStats) snapshot(fp string) PlanStats {
 		Rows:           ps.rows,
 		MeanNanos:      ps.mean,
 		PhaseMeanNanos: ps.phaseMean,
-		Tuple:          ps.tuple,
-		Vectorized:     ps.vectorized,
 		Mode:           ps.mode,
 		ModeSource:     ps.modeSource,
-		VecIneligible:  ps.vecIneligible,
 	}
 	if ps.execs > 1 {
 		out.StddevNanos = math.Sqrt(ps.m2 / float64(ps.execs-1))

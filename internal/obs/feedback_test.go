@@ -9,11 +9,10 @@ import (
 
 func TestFeedbackWelfordAndModeSplit(t *testing.T) {
 	f := NewPlanFeedback(8)
-	// Three tuple runs at 10/20/30ms, one vectorized at 40ms.
-	for i, d := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond} {
-		f.Observe("fp1", "SELECT 1", d, int64(100*(i+1)), false, false)
+	// Four runs at 10/20/30/40ms returning 100/200/300/400 rows.
+	for i := 1; i <= 4; i++ {
+		f.Observe("fp1", "SELECT 1", time.Duration(10*i)*time.Millisecond, int64(100*i), false)
 	}
-	f.Observe("fp1", "SELECT 1", 40*time.Millisecond, 400, true, false)
 
 	st, ok := f.Lookup("fp1")
 	if !ok {
@@ -29,21 +28,22 @@ func TestFeedbackWelfordAndModeSplit(t *testing.T) {
 	if got := st.StddevNanos / 1e6; math.Abs(got-12.909944) > 1e-3 {
 		t.Errorf("stddev = %gms, want ~12.91ms", got)
 	}
-	if st.Tuple.Runs != 3 || st.Tuple.Rows != 600 {
-		t.Errorf("tuple mode = %+v", st.Tuple)
+	if st.Mode != "" || st.ModeSource != "" {
+		t.Errorf("mode decision recorded before any compile: %s (%s)", st.Mode, st.ModeSource)
 	}
-	if st.Vectorized.Runs != 1 || st.Vectorized.Rows != 400 {
-		t.Errorf("vectorized mode = %+v", st.Vectorized)
-	}
-	if got, want := st.Vectorized.RowsPerSec(), 400/0.04; math.Abs(got-want) > 1e-6 {
-		t.Errorf("vectorized rows/sec = %g, want %g", got, want)
+	// The last compile-time decision wins; executions are untouched.
+	f.NoteModeDecision("fp1", "", "tuple", "config")
+	f.NoteModeDecision("fp1", "", "vectorized", "heuristic")
+	st, _ = f.Lookup("fp1")
+	if st.Mode != "vectorized" || st.ModeSource != "heuristic" || st.Executions != 4 {
+		t.Errorf("after mode decisions: %+v", st)
 	}
 }
 
 func TestFeedbackErrorsAndNilSafety(t *testing.T) {
 	f := NewPlanFeedback(8)
-	f.Observe("fp", "q", time.Millisecond, 0, false, true)
-	f.Observe("", "no fingerprint", time.Millisecond, 0, false, false)
+	f.Observe("fp", "q", time.Millisecond, 0, true)
+	f.Observe("", "no fingerprint", time.Millisecond, 0, false)
 	if st, _ := f.Lookup("fp"); st.Errors != 1 {
 		t.Errorf("errors = %d, want 1", st.Errors)
 	}
@@ -51,7 +51,7 @@ func TestFeedbackErrorsAndNilSafety(t *testing.T) {
 		t.Errorf("len = %d, want 1 (empty fingerprint ignored)", f.Len())
 	}
 	var nilStore *PlanFeedback
-	nilStore.Observe("fp", "q", time.Millisecond, 1, false, false)
+	nilStore.Observe("fp", "q", time.Millisecond, 1, false)
 	nilStore.ObserveProfile(&QueryProfile{Fingerprint: "fp"})
 	if nilStore.Snapshot() != nil || nilStore.Len() != 0 {
 		t.Error("nil store must track nothing")
@@ -64,11 +64,11 @@ func TestFeedbackErrorsAndNilSafety(t *testing.T) {
 func TestFeedbackLRUEviction(t *testing.T) {
 	f := NewPlanFeedback(3)
 	for i := 0; i < 3; i++ {
-		f.Observe(fmt.Sprintf("fp%d", i), "q", time.Millisecond, 1, false, false)
+		f.Observe(fmt.Sprintf("fp%d", i), "q", time.Millisecond, 1, false)
 	}
 	// Touch fp0 so fp1 becomes the LRU, then overflow.
-	f.Observe("fp0", "q", time.Millisecond, 1, false, false)
-	f.Observe("fp3", "q", time.Millisecond, 1, false, false)
+	f.Observe("fp0", "q", time.Millisecond, 1, false)
+	f.Observe("fp3", "q", time.Millisecond, 1, false)
 	if f.Len() != 3 {
 		t.Fatalf("len = %d, want 3", f.Len())
 	}
@@ -99,7 +99,7 @@ func TestFeedbackObserveProfilePhases(t *testing.T) {
 	f.ObserveProfile(qp)
 	f.ObserveProfile(qp)
 	st, _ := f.Lookup("fp")
-	if st.Executions != 2 || st.Vectorized.Runs != 2 {
+	if st.Executions != 2 || st.Rows != 10 {
 		t.Errorf("stats = %+v", st)
 	}
 	if got := st.PhaseMeanNanos[PhaseIndex(PhaseExecute)]; got != float64(8*time.Millisecond) {
@@ -112,9 +112,9 @@ func TestFeedbackObserveProfilePhases(t *testing.T) {
 
 func TestFeedbackSnapshotOrder(t *testing.T) {
 	f := NewPlanFeedback(8)
-	f.Observe("rare", "q", time.Millisecond, 1, false, false)
+	f.Observe("rare", "q", time.Millisecond, 1, false)
 	for i := 0; i < 3; i++ {
-		f.Observe("hot", "q", time.Millisecond, 1, false, false)
+		f.Observe("hot", "q", time.Millisecond, 1, false)
 	}
 	snap := f.Snapshot()
 	if len(snap) != 2 || snap[0].Fingerprint != "hot" || snap[1].Fingerprint != "rare" {

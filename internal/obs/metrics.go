@@ -82,7 +82,7 @@ type Metrics struct {
 // decision matrix: which engine a plan compiled to, and why.
 var (
 	ModeDecisionModes   = [...]string{"tuple", "vectorized"}
-	ModeDecisionSources = [...]string{"measured", "explore", "heuristic", "config"}
+	ModeDecisionSources = [...]string{"heuristic", "config"}
 )
 
 // ModeDecisionIndex maps a (mode, source) pair onto its ModeDecisions cell

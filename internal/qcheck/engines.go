@@ -73,15 +73,6 @@ func configMatrix() []engConfig {
 			CacheEnabled: true, Observability: true,
 			SlowQueryThreshold: time.Nanosecond, SlowQueryWriter: io.Discard,
 			TraceMorsels: 1, PlanCacheSize: 64}, warm: true},
-		// Adaptive mode decisions: four sequential runs on one engine warm the
-		// per-plan feedback store through its whole decision ladder — static
-		// heuristic first, then an exploratory run of the unmeasured mode,
-		// then the measured rows/sec winner — and every run must keep
-		// producing the base answer. Plan caching is off so each run actually
-		// recompiles and re-decides; the data cache stays on so later runs
-		// execute against cache-resident columns like production would.
-		{name: "adaptive", cfg: engine.Config{Parallelism: 1, Vectorized: exec.VecAuto,
-			CacheEnabled: true, PlanCacheSize: -1}, reps: 4},
 		// Distributed execution must never change results: a scatter/gather
 		// coordinator over three in-process worker query services speaking the
 		// real HTTP fragment protocol (httptest servers around internal/server).

@@ -81,7 +81,7 @@ func runOracle(u *universe, lang, text string) (*oracleResult, *calculus.Compreh
 	}, c, nil
 }
 
-// applyOrderLimit replicates engine.orderAndLimit over boxed rows: stable
+// applyOrderLimit replicates exec.OrderAndLimit over boxed rows: stable
 // sort on named output columns (missing fields compare as zero values, as
 // Value.Field returns on non-records), then truncation.
 func applyOrderLimit(rows []types.Value, cols, orderBy []string, desc []bool, limit int) ([]types.Value, error) {

@@ -119,10 +119,12 @@ type Config struct {
 	MaxConcurrentQueries int
 	// Vectorized selects the execution mode for eligible pipeline segments
 	// (scan→filter chains over scalar columns feeding aggregates or
-	// projections). VectorizedAuto (the default) uses batch kernels when
-	// the input is large enough to amortize their setup; VectorizedOn and
-	// VectorizedOff force one mode everywhere. Results are identical in
-	// every mode — this knob trades compilation simplicity for throughput.
+	// projections). VectorizedAuto (the default) applies one static rule per
+	// segment at compile time: batch kernels over a native batch producer
+	// (CSV, binary, cache) with at least two batches of input, tuple-at-a-
+	// time elsewhere. VectorizedOn and VectorizedOff force one mode
+	// everywhere. Results are identical in every mode — this knob trades
+	// compilation simplicity for throughput.
 	Vectorized VecMode
 	// PlanCacheSize bounds the compiled-plan cache in entries (0 = default
 	// 64; negative disables plan caching). Repeated query texts skip the
@@ -192,8 +194,8 @@ type MetricsSnapshot = obs.Snapshot
 type SlowQuery = obs.SlowQuery
 
 // PlanStats is one plan fingerprint's accumulated runtime feedback:
-// executions, mean/stddev of total time, per-phase means, and observed
-// tuple-vs-vectorized throughput.
+// executions, mean/stddev of total time, per-phase means, and the last
+// execution-mode decision.
 type PlanStats = obs.PlanStats
 
 // Value is the engine's datum representation (nested records, collections,
