@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -11,20 +12,24 @@ import (
 	"proteus/internal/vbuf"
 )
 
-// accumulator is one compiled aggregate monoid: fold consumes the current
-// tuple, result yields the final value. partial/absorb expose the monoid's
-// internal state so morsel-parallel workers can merge their thread-local
-// aggregates at the pipeline breaker (merge is the monoid ⊕, so the merged
-// result equals the serial fold).
-type accumulator struct {
-	fold   func(r *vbuf.Regs)
-	result func() types.Value
-	// fresh clones the accumulator with zeroed state (for per-group use).
-	fresh func() *accumulator
-	// partial snapshots the internal state; absorb folds another
-	// accumulator's partial into this one.
-	partial func() any
-	absorb  func(p any)
+// aggState is one aggregate monoid's state, shared by both execution
+// models. fold consumes the current tuple; foldBatch consumes every selected
+// lane of an ungrouped batch (the b.Sel loop runs inside one call); foldLane
+// consumes one lane of a grouped batch, reading the argument column that
+// bind loaded once per batch into the aggregate's shared holder. partial
+// snapshots the state and absorb folds another state's partial in (the
+// monoid ⊕), so parallel and distributed merges equal the serial fold.
+type aggState interface {
+	fold(r *vbuf.Regs)
+	foldBatch(b *vbuf.Batch)
+	bind(b *vbuf.Batch)
+	foldLane(j int32)
+	result() types.Value
+	partial() any
+	absorb(p any)
+	// fresh returns a zeroed state sharing this one's compiled argument
+	// (one state per group).
+	fresh() aggState
 }
 
 // scalarPart is the partial state of min/max/sum over one scalar type.
@@ -40,200 +45,358 @@ type avgPart struct {
 	n   int64
 }
 
-// compileAgg builds the type-specialized accumulator for one aggregate.
-func (c *Compiler) compileAgg(a expr.Agg) (*accumulator, error) {
-	switch a.Kind {
-	case expr.AggCount:
-		var make_ func() *accumulator
-		make_ = func() *accumulator {
-			var n int64
-			return &accumulator{
-				fold:    func(*vbuf.Regs) { n++ },
-				result:  func() types.Value { return types.IntValue(n) },
-				fresh:   func() *accumulator { return make_() },
-				partial: func() any { return n },
-				absorb:  func(p any) { n += p.(int64) },
-			}
-		}
-		return make_(), nil
-	case expr.AggBag, expr.AggList:
-		ev, err := c.compileVal(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		kind := types.KindBag
-		if a.Kind == expr.AggList {
-			kind = types.KindList
-		}
-		var make_ func() *accumulator
-		make_ = func() *accumulator {
-			var elems []types.Value
-			return &accumulator{
-				fold: func(r *vbuf.Regs) {
-					v, ok := ev(r)
-					if !ok {
-						v = types.NullValue()
-					}
-					elems = append(elems, v)
-				},
-				result:  func() types.Value { return types.Value{Kind: kind, Elems: elems} },
-				fresh:   func() *accumulator { return make_() },
-				partial: func() any { return elems },
-				absorb:  func(p any) { elems = append(elems, p.([]types.Value)...) },
-			}
-		}
-		return make_(), nil
-	}
+// aggMonoid is one entry of the aggregate table: build compiles the
+// argument for tuples or for batches (vec) into a fresh state; batch says
+// whether the state has batch and lane folds at all.
+type aggMonoid struct {
+	build func(c *Compiler, arg expr.Expr, vec bool) (aggState, error)
+	batch bool
+}
 
-	t, err := c.typeOf(a.Arg)
-	if err != nil {
-		return nil, err
+// monoidOf is the (AggKind, argument kind) table — the one place an
+// aggregate is paired with its state and combine function. Both execution
+// models compile from it and canVecAgg asks it which pairs fold batches.
+// COUNT ignores its argument and AVG promotes its argument to float. Float
+// min/max use math.Max/math.Min so NaN and signed zeros behave the same
+// everywhere.
+func monoidOf(kind expr.AggKind, arg types.Kind) (aggMonoid, bool) {
+	switch kind {
+	case expr.AggCount:
+		return aggMonoid{batch: true, build: func(*Compiler, expr.Expr, bool) (aggState, error) {
+			return &countState{}, nil
+		}}, true
+	case expr.AggBag, expr.AggList:
+		return aggMonoid{build: elemsMonoid(kind)}, true
+	case expr.AggAvg:
+		return aggMonoid{batch: arg == types.KindInt || arg == types.KindFloat, build: buildAvg}, true
 	}
 	switch {
-	case a.Kind == expr.AggAvg:
-		ev, err := c.compileFloat(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		var make_ func() *accumulator
-		make_ = func() *accumulator {
-			var sum float64
-			var n int64
-			return &accumulator{
-				fold: func(r *vbuf.Regs) {
-					if v, ok := ev(r); ok {
-						sum += v
-						n++
-					}
-				},
-				result: func() types.Value {
-					if n == 0 {
-						return types.NullValue()
-					}
-					return types.FloatValue(sum / float64(n))
-				},
-				fresh:   func() *accumulator { return make_() },
-				partial: func() any { return avgPart{sum: sum, n: n} },
-				absorb: func(p any) {
-					ap := p.(avgPart)
-					sum += ap.sum
-					n += ap.n
-				},
+	case kind == expr.AggSum && arg == types.KindInt:
+		return scalarMonoid(int64(0), sumOf[int64], types.IntValue), true
+	case kind == expr.AggMax && arg == types.KindInt:
+		return scalarMonoid(int64(math.MinInt64), maxOf[int64], types.IntValue), true
+	case kind == expr.AggMin && arg == types.KindInt:
+		return scalarMonoid(int64(math.MaxInt64), minOf[int64], types.IntValue), true
+	case kind == expr.AggSum && arg == types.KindFloat:
+		return scalarMonoid(0.0, sumOf[float64], types.FloatValue), true
+	case kind == expr.AggMax && arg == types.KindFloat:
+		return scalarMonoid(math.Inf(-1), math.Max, types.FloatValue), true
+	case kind == expr.AggMin && arg == types.KindFloat:
+		return scalarMonoid(math.Inf(1), math.Min, types.FloatValue), true
+	case kind == expr.AggMax && arg == types.KindString:
+		return scalarMonoid("", maxOf[string], types.StringValue), true
+	case kind == expr.AggMin && arg == types.KindString:
+		return scalarMonoid("", minOf[string], types.StringValue), true
+	}
+	return aggMonoid{}, false
+}
+
+// typedArg reports whether kind's monoid depends on its argument's kind
+// (COUNT ignores its argument; bag/list box it).
+func typedArg(kind expr.AggKind) bool {
+	return kind == expr.AggSum || kind == expr.AggMin || kind == expr.AggMax || kind == expr.AggAvg
+}
+
+func sumOf[T int64 | float64](acc, v T) T { return acc + v }
+func maxOf[T cmp.Ordered](acc, v T) T     { return max(acc, v) }
+func minOf[T cmp.Ordered](acc, v T) T     { return min(acc, v) }
+
+// compileAggStates compiles one fresh state per aggregate, arguments
+// compiled for tuples or, when vec, for batches.
+func (c *Compiler) compileAggStates(aggs []expr.Agg, vec bool) ([]aggState, error) {
+	states := make([]aggState, len(aggs))
+	for i, a := range aggs {
+		var arg types.Type
+		var argKind types.Kind
+		if typedArg(a.Kind) {
+			t, err := c.typeOf(a.Arg)
+			if err != nil {
+				return nil, err
 			}
+			arg, argKind = t, t.Kind()
 		}
-		return make_(), nil
-	case t.Kind() == types.KindInt:
-		ev, err := c.compileInt(a.Arg)
+		m, ok := monoidOf(a.Kind, argKind)
+		if !ok {
+			return nil, fmt.Errorf("exec: unsupported aggregate %s over %s", a.Kind, arg)
+		}
+		st, err := m.build(c, a.Arg, vec)
 		if err != nil {
 			return nil, err
 		}
-		return intAccumulator(a.Kind, ev)
-	case t.Kind() == types.KindFloat:
-		ev, err := c.compileFloat(a.Arg)
+		states[i] = st
+	}
+	return states, nil
+}
+
+// freshStates returns zeroed copies of protos.
+func freshStates(protos []aggState) []aggState {
+	states := make([]aggState, len(protos))
+	for i, p := range protos {
+		states[i] = p.fresh()
+	}
+	return states
+}
+
+// absorbStates folds src's partials into dst, aggregate by aggregate.
+func absorbStates(dst, src []aggState) {
+	for i, s := range dst {
+		s.absorb(src[i].partial())
+	}
+}
+
+// aggArg is one aggregate's compiled argument, shared by all of its states:
+// the tuple evaluator or the batch kernel (whichever the root compiled),
+// the per-batch column holder bind loads for foldLane, and the monoid's
+// zero, combine and boxing from the table.
+type aggArg[T int64 | float64 | string] struct {
+	ev      func(r *vbuf.Regs) (T, bool)
+	vec     func(b *vbuf.Batch) ([]T, []bool)
+	v       []T
+	null    []bool
+	zero    T
+	combine func(acc, v T) T
+	box     func(T) types.Value
+}
+
+func (a *aggArg[T]) bind(b *vbuf.Batch) { a.v, a.null = a.vec(b) }
+
+// compile compiles e into a's tuple evaluator or, when vec, its kernel.
+func (a *aggArg[T]) compile(c *Compiler, e expr.Expr, vec bool) error {
+	var err error
+	switch a := any(a).(type) {
+	case *aggArg[int64]:
+		if vec {
+			a.vec, err = c.compileVecInt(e)
+		} else {
+			a.ev, err = c.compileInt(e)
+		}
+	case *aggArg[float64]:
+		if vec {
+			a.vec, err = c.compileVecFloat(e)
+		} else {
+			a.ev, err = c.compileFloat(e)
+		}
+	case *aggArg[string]:
+		if vec {
+			a.vec, err = c.compileVecStr(e)
+		} else {
+			a.ev, err = c.compileStr(e)
+		}
+	}
+	return err
+}
+
+// countState counts folded rows (COUNT ignores its argument).
+type countState struct{ n int64 }
+
+func (s *countState) fold(*vbuf.Regs)         { s.n++ }
+func (s *countState) foldBatch(b *vbuf.Batch) { s.n += int64(len(b.Sel)) }
+func (s *countState) bind(*vbuf.Batch)        {}
+func (s *countState) foldLane(int32)          { s.n++ }
+func (s *countState) result() types.Value     { return types.IntValue(s.n) }
+func (s *countState) partial() any            { return s.n }
+func (s *countState) absorb(p any)            { s.n += p.(int64) }
+func (s *countState) fresh() aggState         { return &countState{} }
+
+// scalarState is sum/min/max over one scalar type: the first non-NULL value
+// is taken as is, later ones combine in fold order. An empty state keeps
+// the monoid's zero, which the fragment wire format carries.
+type scalarState[T int64 | float64 | string] struct {
+	arg *aggArg[T]
+	scalarPart[T]
+}
+
+func scalarMonoid[T int64 | float64 | string](zero T, combine func(acc, v T) T, box func(T) types.Value) aggMonoid {
+	return aggMonoid{batch: true, build: func(c *Compiler, e expr.Expr, vec bool) (aggState, error) {
+		a := &aggArg[T]{zero: zero, combine: combine, box: box}
+		if err := a.compile(c, e, vec); err != nil {
+			return nil, err
+		}
+		return &scalarState[T]{arg: a, scalarPart: scalarPart[T]{v: zero}}, nil
+	}}
+}
+
+func (s *scalarState[T]) add(v T) {
+	if s.seen {
+		v = s.arg.combine(s.v, v)
+	}
+	s.v, s.seen = v, true
+}
+
+func (s *scalarState[T]) fold(r *vbuf.Regs) {
+	if v, ok := s.arg.ev(r); ok {
+		s.add(v)
+	}
+}
+
+func (s *scalarState[T]) foldBatch(b *vbuf.Batch) {
+	v, nn := s.arg.vec(b)
+	acc, seen, combine := s.v, s.seen, s.arg.combine
+	for _, j := range b.Sel {
+		if nn != nil && nn[j] {
+			continue
+		}
+		if seen {
+			acc = combine(acc, v[j])
+		} else {
+			acc, seen = v[j], true
+		}
+	}
+	s.v, s.seen = acc, seen
+}
+
+func (s *scalarState[T]) bind(b *vbuf.Batch) { s.arg.bind(b) }
+
+func (s *scalarState[T]) foldLane(j int32) {
+	if a := s.arg; a.null == nil || !a.null[j] {
+		s.add(a.v[j])
+	}
+}
+
+func (s *scalarState[T]) result() types.Value {
+	if !s.seen {
+		return types.NullValue()
+	}
+	return s.arg.box(s.v)
+}
+
+func (s *scalarState[T]) partial() any { return s.scalarPart }
+
+func (s *scalarState[T]) absorb(p any) {
+	if o := p.(scalarPart[T]); o.seen {
+		s.add(o.v)
+	}
+}
+
+func (s *scalarState[T]) fresh() aggState {
+	return &scalarState[T]{arg: s.arg, scalarPart: scalarPart[T]{v: s.arg.zero}}
+}
+
+// avgState folds AVG as (sum, count), merged before the quotient.
+type avgState struct {
+	arg *aggArg[float64]
+	avgPart
+}
+
+func buildAvg(c *Compiler, e expr.Expr, vec bool) (aggState, error) {
+	a := &aggArg[float64]{}
+	if err := a.compile(c, e, vec); err != nil {
+		return nil, err
+	}
+	return &avgState{arg: a}, nil
+}
+
+func (s *avgState) fold(r *vbuf.Regs) {
+	if v, ok := s.arg.ev(r); ok {
+		s.sum += v
+		s.n++
+	}
+}
+
+func (s *avgState) foldBatch(b *vbuf.Batch) {
+	v, nn := s.arg.vec(b)
+	for _, j := range b.Sel {
+		if nn == nil || !nn[j] {
+			s.sum += v[j]
+			s.n++
+		}
+	}
+}
+
+func (s *avgState) bind(b *vbuf.Batch) { s.arg.bind(b) }
+
+func (s *avgState) foldLane(j int32) {
+	if a := s.arg; a.null == nil || !a.null[j] {
+		s.sum += a.v[j]
+		s.n++
+	}
+}
+
+func (s *avgState) result() types.Value {
+	if s.n == 0 {
+		return types.NullValue()
+	}
+	return types.FloatValue(s.sum / float64(s.n))
+}
+
+func (s *avgState) partial() any { return s.avgPart }
+
+func (s *avgState) absorb(p any) {
+	o := p.(avgPart)
+	s.sum += o.sum
+	s.n += o.n
+}
+
+func (s *avgState) fresh() aggState { return &avgState{arg: s.arg} }
+
+// elemsState collects a bag or list aggregate's elements (NULLs included).
+// It folds tuples only: monoidOf gives it no batch folds, so vectorized
+// roots never compile it.
+type elemsState struct {
+	ev    evalVal
+	kind  types.Kind
+	elems []types.Value
+}
+
+func elemsMonoid(kind expr.AggKind) func(c *Compiler, e expr.Expr, vec bool) (aggState, error) {
+	k := types.KindBag
+	if kind == expr.AggList {
+		k = types.KindList
+	}
+	return func(c *Compiler, e expr.Expr, vec bool) (aggState, error) {
+		if vec {
+			return nil, fmt.Errorf("exec: aggregate %s is not vectorizable", kind)
+		}
+		ev, err := c.compileVal(e)
 		if err != nil {
 			return nil, err
 		}
-		return floatAccumulator(a.Kind, ev)
-	case t.Kind() == types.KindString && (a.Kind == expr.AggMax || a.Kind == expr.AggMin):
-		ev, err := c.compileStr(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		return strAccumulator(a.Kind, ev)
-	}
-	return nil, fmt.Errorf("exec: unsupported aggregate %s over %s", a.Kind, t)
-}
-
-// scalarAccumulator builds sum/max/min over one scalar representation from
-// the fold step, the binary merge, and the boxing function.
-func scalarAccumulator[T int64 | float64 | string](
-	zero T,
-	ev func(r *vbuf.Regs) (T, bool),
-	combine func(acc, v T) T,
-	box func(T) types.Value,
-) *accumulator {
-	var make_ func() *accumulator
-	make_ = func() *accumulator {
-		st := scalarPart[T]{v: zero}
-		return &accumulator{
-			fold: func(r *vbuf.Regs) {
-				v, ok := ev(r)
-				if !ok {
-					return
-				}
-				if !st.seen {
-					st.v = v
-					st.seen = true
-					return
-				}
-				st.v = combine(st.v, v)
-			},
-			result: func() types.Value {
-				if !st.seen {
-					return types.NullValue()
-				}
-				return box(st.v)
-			},
-			fresh:   func() *accumulator { return make_() },
-			partial: func() any { return st },
-			absorb: func(p any) {
-				o := p.(scalarPart[T])
-				if !o.seen {
-					return
-				}
-				if !st.seen {
-					st = o
-					return
-				}
-				st.v = combine(st.v, o.v)
-			},
-		}
-	}
-	return make_()
-}
-
-func intAccumulator(kind expr.AggKind, ev evalInt) (*accumulator, error) {
-	switch kind {
-	case expr.AggSum:
-		return scalarAccumulator[int64](0, ev, func(a, v int64) int64 { return a + v }, types.IntValue), nil
-	case expr.AggMax:
-		return scalarAccumulator[int64](math.MinInt64, ev, func(a, v int64) int64 { return max(a, v) }, types.IntValue), nil
-	case expr.AggMin:
-		return scalarAccumulator[int64](math.MaxInt64, ev, func(a, v int64) int64 { return min(a, v) }, types.IntValue), nil
-	default:
-		return nil, fmt.Errorf("exec: aggregate %s not defined on int", kind)
+		return &elemsState{ev: ev, kind: k}, nil
 	}
 }
 
-func floatAccumulator(kind expr.AggKind, ev evalFloat) (*accumulator, error) {
-	switch kind {
-	case expr.AggSum:
-		return scalarAccumulator[float64](0, ev, func(a, v float64) float64 { return a + v }, types.FloatValue), nil
-	case expr.AggMax:
-		return scalarAccumulator(math.Inf(-1), ev, func(a, v float64) float64 { return math.Max(a, v) }, types.FloatValue), nil
-	case expr.AggMin:
-		return scalarAccumulator(math.Inf(1), ev, func(a, v float64) float64 { return math.Min(a, v) }, types.FloatValue), nil
-	default:
-		return nil, fmt.Errorf("exec: aggregate %s not defined on float", kind)
+func (s *elemsState) fold(r *vbuf.Regs) {
+	v, ok := s.ev(r)
+	if !ok {
+		v = types.NullValue()
 	}
+	s.elems = append(s.elems, v)
 }
 
-func strAccumulator(kind expr.AggKind, ev evalStr) (*accumulator, error) {
-	if kind == expr.AggMax {
-		return scalarAccumulator("", ev, func(a, v string) string { return max(a, v) }, types.StringValue), nil
+func (s *elemsState) foldBatch(*vbuf.Batch) { panic("exec: bag/list aggregates fold tuples only") }
+func (s *elemsState) bind(*vbuf.Batch)      { panic("exec: bag/list aggregates fold tuples only") }
+func (s *elemsState) foldLane(int32)        { panic("exec: bag/list aggregates fold tuples only") }
+func (s *elemsState) result() types.Value   { return types.Value{Kind: s.kind, Elems: s.elems} }
+func (s *elemsState) partial() any          { return s.elems }
+func (s *elemsState) absorb(p any)          { s.elems = append(s.elems, p.([]types.Value)...) }
+func (s *elemsState) fresh() aggState       { return &elemsState{ev: s.ev, kind: s.kind} }
+
+// compileOptPred compiles a root's optional embedded predicate (nil: none).
+func (c *Compiler) compileOptPred(e expr.Expr) (evalBool, error) {
+	if e == nil {
+		return nil, nil
 	}
-	return scalarAccumulator("", ev, func(a, v string) string { return min(a, v) }, types.StringValue), nil
+	return c.compileBool(e)
+}
+
+// passes reports whether the current tuple satisfies an optional predicate.
+func passes(pred evalBool, r *vbuf.Regs) bool {
+	if pred == nil {
+		return true
+	}
+	v, ok := pred(r)
+	return ok && v
 }
 
 // reducePartial is the mergeable state of one Reduce evaluation: either the
-// collected output rows (bag/list yield) or the accumulator set. Parallel
-// workers each hold one and merge them at the pipeline breaker; the serial
-// path holds exactly one.
+// collected output rows (bag/list yield) or one state per aggregate, folded
+// by tuples or by batches. Parallel workers each hold one and merge them at
+// the pipeline breaker; the serial path holds exactly one.
 type reducePartial struct {
 	collect bool
 	names   []string
 	rows    []types.Value
-	accs    []*accumulator
+	accs    []aggState
 	// rowsCell, when profiled, receives the output cardinality at result
 	// materialization — blocking roots never flow through a consume wrapper,
 	// so they self-report (see profile.go).
@@ -242,8 +405,8 @@ type reducePartial struct {
 
 func (p *reducePartial) reset() {
 	p.rows = nil
-	for i := range p.accs {
-		p.accs[i] = p.accs[i].fresh()
+	for i, a := range p.accs {
+		p.accs[i] = a.fresh()
 	}
 }
 
@@ -256,9 +419,7 @@ func (p *reducePartial) merge(o partialState) error {
 		p.rows = append(p.rows, other.rows...)
 		return nil
 	}
-	for i := range p.accs {
-		p.accs[i].absorb(other.accs[i].partial())
-	}
+	absorbStates(p.accs, other.accs)
 	return nil
 }
 
@@ -281,8 +442,8 @@ func (p *reducePartial) result() (*Result, error) {
 
 // compileReducePartial compiles the Reduce pipeline into a driver plus the
 // mergeable partial state it folds into. A vectorizable pipeline compiles
-// into batch kernels instead (vagg.go); both states implement partialState,
-// and all parallel clones of a plan make the same choice.
+// into batch kernels instead (vagg.go, vsort.go); all parallel clones of a
+// plan make the same choice.
 func (c *Compiler) compileReducePartial(red *algebra.Reduce) (func(r *vbuf.Regs) error, partialState, error) {
 	if run, vst, ok, err := c.tryVecReduce(red); err != nil {
 		return nil, nil, err
@@ -309,18 +470,12 @@ func (c *Compiler) compileReducePartial(red *algebra.Reduce) (func(r *vbuf.Regs)
 				return nil, err
 			}
 			ev = e
-			if red.Pred != nil {
-				p, err := c.compileBool(red.Pred)
-				if err != nil {
-					return nil, err
-				}
-				pred = p
+			if pred, err = c.compileOptPred(red.Pred); err != nil {
+				return nil, err
 			}
 			return func(r *vbuf.Regs) error {
-				if pred != nil {
-					if v, ok := pred(r); !ok || !v {
-						return nil
-					}
+				if !passes(pred, r) {
+					return nil
 				}
 				v, ok := ev(r)
 				if !ok {
@@ -345,28 +500,19 @@ func (c *Compiler) compileReducePartial(red *algebra.Reduce) (func(r *vbuf.Regs)
 		return run, st, nil
 	}
 
-	// Aggregate yield: fold every accumulator in one pass.
-	st.accs = make([]*accumulator, len(red.Aggs))
+	// Aggregate yield: fold every state in one pass.
 	run, err := c.compileChildThen(red.Child, func() (Kont, error) {
-		for i, a := range red.Aggs {
-			acc, err := c.compileAgg(a)
-			if err != nil {
-				return nil, err
-			}
-			st.accs[i] = acc
+		accs, err := c.compileAggStates(red.Aggs, false)
+		if err != nil {
+			return nil, err
 		}
-		if red.Pred != nil {
-			p, err := c.compileBool(red.Pred)
-			if err != nil {
-				return nil, err
-			}
-			pred = p
+		st.accs = accs
+		if pred, err = c.compileOptPred(red.Pred); err != nil {
+			return nil, err
 		}
 		return func(r *vbuf.Regs) error {
-			if pred != nil {
-				if v, ok := pred(r); !ok || !v {
-					return nil
-				}
+			if !passes(pred, r) {
+				return nil
 			}
 			for _, acc := range st.accs {
 				acc.fold(r)
@@ -396,27 +542,37 @@ func (c *Compiler) compileReduce(red *algebra.Reduce) (func(r *vbuf.Regs) (*Resu
 	}, nil
 }
 
-// group holds one hash-group's accumulators during Nest evaluation.
+// group holds one hash-group's aggregate states during Nest evaluation.
 type group struct {
 	hash    uint64
 	keyVals []types.Value
-	accs    []*accumulator
+	accs    []aggState
 }
 
-// nestPartial is the mergeable grouping state of one Nest evaluation.
-// Merging adopts groups first seen by later workers in worker order, so the
-// merged first-encounter order equals the serial scan order (workers hold
-// contiguous, ordered morsel ranges).
+// nestPartial is the mergeable grouping state of one Nest evaluation, folded
+// by tuples or (single int key) by batches. Merging adopts groups first seen
+// by later workers in worker order, so the merged first-encounter order
+// equals the serial scan order (workers hold contiguous, ordered morsel
+// ranges).
 type nestPartial struct {
-	outNames  []string
-	freshAccs func() []*accumulator
+	outNames []string
+	// protos holds one state per aggregate: every group starts from fresh
+	// copies, and the batch fold binds each aggregate's argument through it.
+	protos []aggState
 
-	// Fast path: single integer key. NULL keys form their own group
-	// (intNull), matching the general path and the Volcano baseline.
+	// New groups are charged groupBytes each to gauge (nil: no budget),
+	// flushed in memQuantum steps.
+	gauge      *memGauge
+	groupBytes int64
+	pending    int64
+
+	// Fast path: single integer key, results ascending by key. NULL keys
+	// form their own group (intNull), matching the general path and the
+	// Volcano baseline.
 	singleInt bool
-	intGroups map[int64][]*accumulator
+	intGroups map[int64][]aggState
 	intOrder  []int64
-	intNull   []*accumulator
+	intNull   []aggState
 
 	// General path: composite/boxed keys hashed by canonical value hash.
 	groups map[uint64][]*group
@@ -427,15 +583,77 @@ type nestPartial struct {
 	rowsCell *int64
 }
 
+// newNestPartial allocates n's state; the caller sets protos and singleInt.
+func (c *Compiler) newNestPartial(n *algebra.Nest) *nestPartial {
+	return &nestPartial{
+		outNames: append(append([]string{}, n.GroupNames...), n.AggNames...),
+		gauge:    c.mem,
+		// Estimated footprint of one new group: map/order bookkeeping plus
+		// the per-group aggregate states.
+		groupBytes: int64(96 + len(n.GroupBy)*48 + len(n.Aggs)*96),
+		rowsCell:   c.rootRowsCell(n),
+	}
+}
+
 func (p *nestPartial) reset() {
 	if p.singleInt {
-		p.intGroups = map[int64][]*accumulator{}
+		p.intGroups = map[int64][]aggState{}
 		p.intOrder = nil
 		p.intNull = nil
 		return
 	}
 	p.groups = map[uint64][]*group{}
 	p.order = nil
+}
+
+// newGroup returns fresh states for a first-seen group and charges its
+// footprint to the memory budget.
+func (p *nestPartial) newGroup() ([]aggState, error) {
+	accs := freshStates(p.protos)
+	if p.gauge != nil {
+		if p.pending += p.groupBytes; p.pending >= memQuantum {
+			err := p.gauge.charge(p.pending)
+			p.pending = 0
+			return accs, err
+		}
+	}
+	return accs, nil
+}
+
+// intGroup returns the states of single-int group k (the NULL-key group
+// when null), creating the group on first sight.
+func (p *nestPartial) intGroup(k int64, null bool) ([]aggState, error) {
+	if null {
+		if p.intNull != nil {
+			return p.intNull, nil
+		}
+		accs, err := p.newGroup()
+		p.intNull = accs
+		return accs, err
+	}
+	if accs, ok := p.intGroups[k]; ok {
+		return accs, nil
+	}
+	accs, err := p.newGroup()
+	p.intGroups[k] = accs
+	p.intOrder = append(p.intOrder, k)
+	return accs, err
+}
+
+// lookup finds the general-path group with keyVals in hash bucket h.
+func (p *nestPartial) lookup(h uint64, keyVals []types.Value) *group {
+	for _, g := range p.groups[h] {
+		if sameKeys(g.keyVals, keyVals) {
+			return g
+		}
+	}
+	return nil
+}
+
+// adopt appends g as a first-seen general-path group.
+func (p *nestPartial) adopt(g *group) {
+	p.groups[g.hash] = append(p.groups[g.hash], g)
+	p.order = append(p.order, g)
 }
 
 func (p *nestPartial) merge(o partialState) error {
@@ -445,42 +663,27 @@ func (p *nestPartial) merge(o partialState) error {
 	}
 	if p.singleInt {
 		for _, k := range other.intOrder {
-			accs, exists := p.intGroups[k]
-			if !exists {
-				p.intGroups[k] = other.intGroups[k]
-				p.intOrder = append(p.intOrder, k)
+			if accs, exists := p.intGroups[k]; exists {
+				absorbStates(accs, other.intGroups[k])
 				continue
 			}
-			for i, acc := range accs {
-				acc.absorb(other.intGroups[k][i].partial())
-			}
+			p.intGroups[k] = other.intGroups[k]
+			p.intOrder = append(p.intOrder, k)
 		}
 		if other.intNull != nil {
 			if p.intNull == nil {
 				p.intNull = other.intNull
 			} else {
-				for i, acc := range p.intNull {
-					acc.absorb(other.intNull[i].partial())
-				}
+				absorbStates(p.intNull, other.intNull)
 			}
 		}
 		return nil
 	}
 	for _, og := range other.order {
-		var g *group
-		for _, cand := range p.groups[og.hash] {
-			if sameKeys(cand.keyVals, og.keyVals) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			p.groups[og.hash] = append(p.groups[og.hash], og)
-			p.order = append(p.order, og)
-			continue
-		}
-		for i, acc := range g.accs {
-			acc.absorb(og.accs[i].partial())
+		if g := p.lookup(og.hash, og.keyVals); g != nil {
+			absorbStates(g.accs, og.accs)
+		} else {
+			p.adopt(og)
 		}
 	}
 	return nil
@@ -496,52 +699,40 @@ func sameKeys(a, b []types.Value) bool {
 }
 
 func (p *nestPartial) result() (*Result, error) {
-	if p.rowsCell != nil {
-		if p.singleInt {
-			n := int64(len(p.intOrder))
-			if p.intNull != nil {
-				n++
-			}
-			*p.rowsCell = n
-		} else {
+	row := func(keyVals []types.Value, accs []aggState) types.Value {
+		vals := make([]types.Value, 0, len(p.outNames))
+		vals = append(vals, keyVals...)
+		for _, acc := range accs {
+			vals = append(vals, acc.result())
+		}
+		return types.RecordValue(p.outNames, vals)
+	}
+	if !p.singleInt {
+		if p.rowsCell != nil {
 			*p.rowsCell = int64(len(p.order))
 		}
-	}
-	if p.singleInt {
-		sort.Slice(p.intOrder, func(i, j int) bool { return p.intOrder[i] < p.intOrder[j] })
-		rows := make([]types.Value, 0, len(p.intOrder)+1)
-		if p.intNull != nil {
-			vals := make([]types.Value, 0, len(p.outNames))
-			vals = append(vals, types.NullValue())
-			for _, acc := range p.intNull {
-				vals = append(vals, acc.result())
-			}
-			rows = append(rows, types.RecordValue(p.outNames, vals))
-		}
-		for _, k := range p.intOrder {
-			vals := make([]types.Value, 0, len(p.outNames))
-			vals = append(vals, types.IntValue(k))
-			for _, acc := range p.intGroups[k] {
-				vals = append(vals, acc.result())
-			}
-			rows = append(rows, types.RecordValue(p.outNames, vals))
+		rows := make([]types.Value, 0, len(p.order))
+		for _, g := range p.order {
+			rows = append(rows, row(g.keyVals, g.accs))
 		}
 		return &Result{Cols: p.outNames, Rows: rows}, nil
 	}
-	rows := make([]types.Value, 0, len(p.order))
-	for _, g := range p.order {
-		vals := make([]types.Value, 0, len(p.outNames))
-		vals = append(vals, g.keyVals...)
-		for _, acc := range g.accs {
-			vals = append(vals, acc.result())
-		}
-		rows = append(rows, types.RecordValue(p.outNames, vals))
+	sort.Slice(p.intOrder, func(i, j int) bool { return p.intOrder[i] < p.intOrder[j] })
+	rows := make([]types.Value, 0, len(p.intOrder)+1)
+	if p.intNull != nil {
+		rows = append(rows, row([]types.Value{types.NullValue()}, p.intNull))
+	}
+	for _, k := range p.intOrder {
+		rows = append(rows, row([]types.Value{types.IntValue(k)}, p.intGroups[k]))
+	}
+	if p.rowsCell != nil {
+		*p.rowsCell = int64(len(rows))
 	}
 	return &Result{Cols: p.outNames, Rows: rows}, nil
 }
 
 // compileNestPartial compiles the Nest pipeline (radix-hash grouping with
-// per-group accumulators, §5.1) into a driver plus its mergeable state.
+// per-group aggregate states, §5.1) into a driver plus its mergeable state.
 // Single integer group-by keys take a specialized path — vectorized when
 // the pipeline below allows it (vagg.go), tuple-at-a-time otherwise.
 func (c *Compiler) compileNestPartial(n *algebra.Nest) (func(r *vbuf.Regs) error, partialState, error) {
@@ -550,29 +741,21 @@ func (c *Compiler) compileNestPartial(n *algebra.Nest) (func(r *vbuf.Regs) error
 	} else if ok {
 		return run, vst, nil
 	}
-	var pred evalBool
-	protoAccs := make([]*accumulator, len(n.Aggs))
-	gauge := c.mem
-	var pending int64
-	// Estimated footprint of one new group: map/order bookkeeping plus the
-	// per-group accumulator states.
-	groupBytes := int64(96 + len(n.GroupBy)*48 + len(n.Aggs)*96)
-	st := &nestPartial{
-		rowsCell: c.rootRowsCell(n),
-		outNames: append(append([]string{}, n.GroupNames...), n.AggNames...),
-		freshAccs: func() []*accumulator {
-			accs := make([]*accumulator, len(protoAccs))
-			for i, p := range protoAccs {
-				accs[i] = p.fresh()
-			}
-			return accs
-		},
-	}
-
+	st := c.newNestPartial(n)
 	if len(n.GroupBy) == 1 {
 		if t, err := c.typeOf(n.GroupBy[0]); err == nil && t.Kind() == types.KindInt {
 			st.singleInt = true
 		}
+	}
+	var pred evalBool
+	compileAggs := func() error {
+		protos, err := c.compileAggStates(n.Aggs, false)
+		if err != nil {
+			return err
+		}
+		st.protos = protos
+		pred, err = c.compileOptPred(n.Pred)
+		return err
 	}
 
 	if st.singleInt {
@@ -581,60 +764,17 @@ func (c *Compiler) compileNestPartial(n *algebra.Nest) (func(r *vbuf.Regs) error
 			if err != nil {
 				return nil, err
 			}
-			for i, a := range n.Aggs {
-				acc, err := c.compileAgg(a)
-				if err != nil {
-					return nil, err
-				}
-				protoAccs[i] = acc
-			}
-			if n.Pred != nil {
-				p, err := c.compileBool(n.Pred)
-				if err != nil {
-					return nil, err
-				}
-				pred = p
+			if err := compileAggs(); err != nil {
+				return nil, err
 			}
 			return func(r *vbuf.Regs) error {
-				if pred != nil {
-					if v, ok := pred(r); !ok || !v {
-						return nil
-					}
-				}
-				k, ok := keyEval(r)
-				if !ok {
-					// NULL key: its own group, like the general path.
-					if st.intNull == nil {
-						st.intNull = st.freshAccs()
-						if gauge != nil {
-							if pending += groupBytes; pending >= memQuantum {
-								err := gauge.charge(pending)
-								pending = 0
-								if err != nil {
-									return err
-								}
-							}
-						}
-					}
-					for _, acc := range st.intNull {
-						acc.fold(r)
-					}
+				if !passes(pred, r) {
 					return nil
 				}
-				accs, exists := st.intGroups[k]
-				if !exists {
-					accs = st.freshAccs()
-					st.intGroups[k] = accs
-					st.intOrder = append(st.intOrder, k)
-					if gauge != nil {
-						if pending += groupBytes; pending >= memQuantum {
-							err := gauge.charge(pending)
-							pending = 0
-							if err != nil {
-								return err
-							}
-						}
-					}
+				k, ok := keyEval(r)
+				accs, err := st.intGroup(k, !ok)
+				if err != nil {
+					return err
 				}
 				for _, acc := range accs {
 					acc.fold(r)
@@ -657,25 +797,12 @@ func (c *Compiler) compileNestPartial(n *algebra.Nest) (func(r *vbuf.Regs) error
 			}
 			keyEvals[i] = ev
 		}
-		for i, a := range n.Aggs {
-			acc, err := c.compileAgg(a)
-			if err != nil {
-				return nil, err
-			}
-			protoAccs[i] = acc
-		}
-		if n.Pred != nil {
-			p, err := c.compileBool(n.Pred)
-			if err != nil {
-				return nil, err
-			}
-			pred = p
+		if err := compileAggs(); err != nil {
+			return nil, err
 		}
 		return func(r *vbuf.Regs) error {
-			if pred != nil {
-				if v, ok := pred(r); !ok || !v {
-					return nil
-				}
+			if !passes(pred, r) {
+				return nil
 			}
 			h := uint64(14695981039346656037)
 			keyVals := make([]types.Value, len(keyEvals))
@@ -687,25 +814,13 @@ func (c *Compiler) compileNestPartial(n *algebra.Nest) (func(r *vbuf.Regs) error
 				keyVals[i] = v
 				h = hashMix(h, v.Hash())
 			}
-			var g *group
-			for _, cand := range st.groups[h] {
-				if sameKeys(cand.keyVals, keyVals) {
-					g = cand
-					break
-				}
-			}
+			g := st.lookup(h, keyVals)
 			if g == nil {
-				g = &group{hash: h, keyVals: keyVals, accs: st.freshAccs()}
-				st.groups[h] = append(st.groups[h], g)
-				st.order = append(st.order, g)
-				if gauge != nil {
-					if pending += groupBytes; pending >= memQuantum {
-						err := gauge.charge(pending)
-						pending = 0
-						if err != nil {
-							return err
-						}
-					}
+				accs, err := st.newGroup()
+				g = &group{hash: h, keyVals: keyVals, accs: accs}
+				st.adopt(g)
+				if err != nil {
+					return err
 				}
 			}
 			for _, acc := range g.accs {

@@ -406,7 +406,7 @@ func (c *Compiler) compileComparison(x *expr.BinOp) (evalBool, error) {
 		if err != nil {
 			return nil, err
 		}
-		return intCmp(op, l, rr), nil
+		return ordCmp(op, l, rr), nil
 	case types.Numeric(lt) && types.Numeric(rt):
 		l, err := c.compileFloat(x.L)
 		if err != nil {
@@ -416,7 +416,7 @@ func (c *Compiler) compileComparison(x *expr.BinOp) (evalBool, error) {
 		if err != nil {
 			return nil, err
 		}
-		return floatCmp(op, l, rr), nil
+		return ordCmp(op, l, rr), nil
 	case lt.Kind() == types.KindString && rt.Kind() == types.KindString:
 		l, err := c.compileStr(x.L)
 		if err != nil {
@@ -426,7 +426,7 @@ func (c *Compiler) compileComparison(x *expr.BinOp) (evalBool, error) {
 		if err != nil {
 			return nil, err
 		}
-		return strCmp(op, l, rr), nil
+		return ordCmp(op, l, rr), nil
 	default:
 		l, err := c.compileVal(x.L)
 		if err != nil {
@@ -463,99 +463,6 @@ func cmpSatisfies(op expr.BinKind, c int) bool {
 		return c >= 0
 	}
 	return false
-}
-
-func intCmp(op expr.BinKind, l, r evalInt) evalBool {
-	switch op {
-	case expr.OpEq:
-		return func(rg *vbuf.Regs) (bool, bool) {
-			a, aok := l(rg)
-			b, bok := r(rg)
-			return a == b, aok && bok
-		}
-	case expr.OpNe:
-		return func(rg *vbuf.Regs) (bool, bool) {
-			a, aok := l(rg)
-			b, bok := r(rg)
-			return a != b, aok && bok
-		}
-	case expr.OpLt:
-		return func(rg *vbuf.Regs) (bool, bool) {
-			a, aok := l(rg)
-			b, bok := r(rg)
-			return a < b, aok && bok
-		}
-	case expr.OpLe:
-		return func(rg *vbuf.Regs) (bool, bool) {
-			a, aok := l(rg)
-			b, bok := r(rg)
-			return a <= b, aok && bok
-		}
-	case expr.OpGt:
-		return func(rg *vbuf.Regs) (bool, bool) {
-			a, aok := l(rg)
-			b, bok := r(rg)
-			return a > b, aok && bok
-		}
-	default:
-		return func(rg *vbuf.Regs) (bool, bool) {
-			a, aok := l(rg)
-			b, bok := r(rg)
-			return a >= b, aok && bok
-		}
-	}
-}
-
-func floatCmp(op expr.BinKind, l, r evalFloat) evalBool {
-	switch op {
-	case expr.OpEq:
-		return func(rg *vbuf.Regs) (bool, bool) {
-			a, aok := l(rg)
-			b, bok := r(rg)
-			return a == b, aok && bok
-		}
-	case expr.OpNe:
-		return func(rg *vbuf.Regs) (bool, bool) {
-			a, aok := l(rg)
-			b, bok := r(rg)
-			return a != b, aok && bok
-		}
-	case expr.OpLt:
-		return func(rg *vbuf.Regs) (bool, bool) {
-			a, aok := l(rg)
-			b, bok := r(rg)
-			return a < b, aok && bok
-		}
-	case expr.OpLe:
-		return func(rg *vbuf.Regs) (bool, bool) {
-			a, aok := l(rg)
-			b, bok := r(rg)
-			return a <= b, aok && bok
-		}
-	case expr.OpGt:
-		return func(rg *vbuf.Regs) (bool, bool) {
-			a, aok := l(rg)
-			b, bok := r(rg)
-			return a > b, aok && bok
-		}
-	default:
-		return func(rg *vbuf.Regs) (bool, bool) {
-			a, aok := l(rg)
-			b, bok := r(rg)
-			return a >= b, aok && bok
-		}
-	}
-}
-
-func strCmp(op expr.BinKind, l, r evalStr) evalBool {
-	return func(rg *vbuf.Regs) (bool, bool) {
-		a, aok := l(rg)
-		b, bok := r(rg)
-		if !aok || !bok {
-			return false, false
-		}
-		return cmpSatisfies(op, strings.Compare(a, b)), true
-	}
 }
 
 // compileVal compiles any expression to a boxed evaluator (used for nested

@@ -10,13 +10,14 @@
 // uses — so the distributed result is byte-identical to the single-node
 // one (float SUM/AVG reassociation aside, as for in-process parallelism).
 //
-// Fragments always compile tuple-at-a-time (Vectorize forced to VecOff):
-// the three tuple-mode partial states — barePartial, reducePartial,
-// nestPartial — are the complete wire vocabulary, and both sides compile
-// the same plan with the same forcing, so their states always pair up
-// (including nestPartial's single-int-key choice, which changes result
-// ordering). Floats travel as strconv 'g'/-1 strings so NaN and ±Inf
-// survive encoding/json and round-trip bit-exactly.
+// The wire vocabulary is barePartial, reducePartial and nestPartial, with
+// one aggregate-state vocabulary (agg.go) whichever execution model folded
+// them. Fragments still compile tuple-at-a-time (Vectorize forced to
+// VecOff) because the vectorized bag/list yield, vecCollectPartial, has no
+// wire encoding; both sides compile the same plan with the same forcing, so
+// their states always pair up (including nestPartial's single-int-key
+// choice, which changes result ordering). Floats travel as strconv 'g'/-1
+// strings so NaN and ±Inf survive encoding/json and round-trip bit-exactly.
 package exec
 
 import (
@@ -44,7 +45,7 @@ func DrivingScan(n algebra.Node) *algebra.Scan { return drivingScan(n) }
 const (
 	ShapeBare     = "bare"      // barePartial: plain rows
 	ShapeCollect  = "collect"   // reducePartial, bag/list yield: plain rows
-	ShapeAgg      = "agg"       // reducePartial: one accumulator set
+	ShapeAgg      = "agg"       // reducePartial: one aggregate-state set
 	ShapeGroup    = "group"     // nestPartial, general keys
 	ShapeGroupInt = "group_int" // nestPartial, single-int fast path
 )
@@ -62,7 +63,7 @@ type WireValue struct {
 	Vals  []WireValue `json:"vals,omitempty"`
 }
 
-// WireAgg is the wire encoding of one accumulator's partial state, tagged
+// WireAgg is the wire encoding of one aggregate state's partial, tagged
 // by the monoid's internal representation.
 type WireAgg struct {
 	Kind  string      `json:"k"`               // count|int|float|str|avg|elems
@@ -76,7 +77,7 @@ type WireAgg struct {
 
 // WireGroup is one group of a grouped fragment frame: its key values (one
 // per GROUP BY key; the single-int shape carries exactly one, "n"-kind for
-// the NULL-key group) and its accumulator partials.
+// the NULL-key group) and its aggregate partials.
 type WireGroup struct {
 	Keys []WireValue `json:"keys"`
 	Aggs []WireAgg   `json:"aggs"`
@@ -219,9 +220,9 @@ func decodeValues(ws []WireValue) ([]types.Value, error) {
 	return out, nil
 }
 
-// accumulator codec ---------------------------------------------------------
+// aggregate-state codec -----------------------------------------------------
 
-func encodeAcc(acc *accumulator) (WireAgg, error) {
+func encodeAcc(acc aggState) (WireAgg, error) {
 	switch p := acc.partial().(type) {
 	case int64:
 		return WireAgg{Kind: "count", I: p}, nil
@@ -244,7 +245,7 @@ func encodeAcc(acc *accumulator) (WireAgg, error) {
 	}
 }
 
-func encodeAccs(accs []*accumulator) ([]WireAgg, error) {
+func encodeAccs(accs []aggState) ([]WireAgg, error) {
 	out := make([]WireAgg, len(accs))
 	for i, acc := range accs {
 		w, err := encodeAcc(acc)
@@ -256,8 +257,8 @@ func encodeAccs(accs []*accumulator) ([]WireAgg, error) {
 	return out, nil
 }
 
-// wireKindOf maps an accumulator's partial representation to its wire tag,
-// so decode can reject a frame whose aggregate shapes do not match the
+// wireKindOf maps an aggregate state's partial representation to its wire
+// tag, so decode can reject a frame whose aggregate shapes do not match the
 // coordinator's plan before the (type-asserting) absorb runs.
 func wireKindOf(p any) string {
 	switch p.(type) {
@@ -277,8 +278,8 @@ func wireKindOf(p any) string {
 	return ""
 }
 
-// decodeAccInto folds one wire aggregate into a freshly reset accumulator.
-func decodeAccInto(acc *accumulator, w WireAgg) error {
+// decodeAccInto folds one wire aggregate into a fresh aggregate state.
+func decodeAccInto(acc aggState, w WireAgg) error {
 	if want := wireKindOf(acc.partial()); want != w.Kind {
 		return fmt.Errorf("exec: fragment aggregate kind %q does not match plan (want %q)", w.Kind, want)
 	}
@@ -313,13 +314,13 @@ func decodeAccInto(acc *accumulator, w WireAgg) error {
 	return nil
 }
 
-// decodeAccs materializes one group's accumulators from their wire partials
-// using the merge state's prototype constructors.
-func decodeAccs(freshAccs func() []*accumulator, ws []WireAgg) ([]*accumulator, error) {
-	accs := freshAccs()
-	if len(ws) != len(accs) {
-		return nil, fmt.Errorf("exec: fragment carries %d aggregates, plan has %d", len(ws), len(accs))
+// decodeAccs materializes one group's aggregate states from their wire
+// partials, starting from fresh copies of the merge state's prototypes.
+func decodeAccs(protos []aggState, ws []WireAgg) ([]aggState, error) {
+	if len(ws) != len(protos) {
+		return nil, fmt.Errorf("exec: fragment carries %d aggregates, plan has %d", len(ws), len(protos))
 	}
+	accs := freshStates(protos)
 	for i, w := range ws {
 		if err := decodeAccInto(accs[i], w); err != nil {
 			return nil, err
@@ -331,7 +332,7 @@ func decodeAccs(freshAccs func() []*accumulator, ws []WireAgg) ([]*accumulator, 
 // state encode --------------------------------------------------------------
 
 // encodePartial serializes a fragment run's final partialState. Only the
-// three tuple-mode states exist here: fragments compile with VecOff.
+// three encodable states exist here: fragments compile with VecOff.
 func encodePartial(st partialState, fp string) (*Partial, error) {
 	switch s := st.(type) {
 	case *barePartial:
@@ -482,9 +483,9 @@ func (p *Partial) EncodeStream(w io.Writer) error {
 }
 
 // DecodePartialStream parses one fragment-response frame. Truncated streams
-// (no trailer), unit-count mismatches, in-band errors, and malformed lines
-// all fail loudly — the coordinator treats every such failure as a failed
-// attempt, never as data.
+// (no trailer), unit-count mismatches, units foreign to the head's shape,
+// in-band errors, and malformed lines all fail loudly — the coordinator
+// treats every such failure as a failed attempt, never as data.
 func DecodePartialStream(r io.Reader) (*Partial, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	readLine := func() ([]byte, error) {
@@ -530,10 +531,19 @@ func DecodePartialStream(r io.Reader) (*Partial, error) {
 			}
 			return p, nil
 		case ln.Row != nil:
+			if p.Shape != ShapeBare && p.Shape != ShapeCollect {
+				return nil, fmt.Errorf("exec: %s fragment carries a row line", p.Shape)
+			}
 			p.Rows = append(p.Rows, *ln.Row)
 		case ln.Group != nil:
+			if p.Shape != ShapeGroup && p.Shape != ShapeGroupInt {
+				return nil, fmt.Errorf("exec: %s fragment carries a group line", p.Shape)
+			}
 			p.Groups = append(p.Groups, *ln.Group)
 		case ln.Aggs != nil:
+			if p.Shape != ShapeAgg {
+				return nil, fmt.Errorf("exec: %s fragment carries an aggregate line", p.Shape)
+			}
 			if p.hasAggs {
 				return nil, fmt.Errorf("exec: fragment stream carries more than one aggregate set")
 			}
@@ -696,7 +706,7 @@ type MergeState struct {
 // the same VecOff forcing on both sides keeps the shapes (including the
 // single-int group fast path, which sorts keys at materialization) in
 // lock-step. The compiled scan closures are discarded; only the state and
-// its accumulator constructors are kept.
+// its aggregate-state prototypes are kept.
 func CompileMergeState(plan algebra.Node, env *Env) (*MergeState, error) {
 	envCopy := *env
 	envCopy.Vectorize = VecOff
@@ -753,9 +763,9 @@ func (m *MergeState) Fingerprint() string { return m.fp }
 func (m *MergeState) Merged() int { return m.merged }
 
 // validate cross-checks one frame against the compiled plan before any of
-// it is decoded into accumulators.
+// it is decoded into aggregate states.
 func (m *MergeState) validate(p *Partial) error {
-	if p.Fingerprint != "" && p.Fingerprint != m.fp {
+	if p.Fingerprint != m.fp {
 		return fmt.Errorf("exec: fragment plan fingerprint %s does not match coordinator plan %s", p.Fingerprint, m.fp)
 	}
 	if p.Shape != m.shape {
@@ -812,14 +822,7 @@ func (m *MergeState) decode(p *Partial) (partialState, error) {
 		if !p.hasAggs {
 			return nil, fmt.Errorf("exec: aggregate fragment carries no aggregate set")
 		}
-		freshAccs := func() []*accumulator {
-			accs := make([]*accumulator, len(st.accs))
-			for i, a := range st.accs {
-				accs[i] = a.fresh()
-			}
-			return accs
-		}
-		accs, err := decodeAccs(freshAccs, p.Aggs)
+		accs, err := decodeAccs(st.accs, p.Aggs)
 		if err != nil {
 			return nil, err
 		}
@@ -831,18 +834,14 @@ func (m *MergeState) decode(p *Partial) (partialState, error) {
 }
 
 func (m *MergeState) decodeNest(st *nestPartial, p *Partial) (partialState, error) {
-	other := &nestPartial{
-		outNames:  st.outNames,
-		freshAccs: st.freshAccs,
-		singleInt: st.singleInt,
-	}
+	other := &nestPartial{outNames: st.outNames, protos: st.protos, singleInt: st.singleInt}
 	other.reset()
 	if st.singleInt {
 		for _, g := range p.Groups {
 			if len(g.Keys) != 1 {
 				return nil, fmt.Errorf("exec: single-int fragment group carries %d keys", len(g.Keys))
 			}
-			accs, err := decodeAccs(st.freshAccs, g.Aggs)
+			accs, err := decodeAccs(st.protos, g.Aggs)
 			if err != nil {
 				return nil, err
 			}
@@ -873,7 +872,7 @@ func (m *MergeState) decodeNest(st *nestPartial, p *Partial) (partialState, erro
 		if err != nil {
 			return nil, err
 		}
-		accs, err := decodeAccs(st.freshAccs, wg.Aggs)
+		accs, err := decodeAccs(st.protos, wg.Aggs)
 		if err != nil {
 			return nil, err
 		}
@@ -883,14 +882,10 @@ func (m *MergeState) decodeNest(st *nestPartial, p *Partial) (partialState, erro
 		for _, v := range keyVals {
 			h = hashMix(h, v.Hash())
 		}
-		for _, cand := range other.groups[h] {
-			if len(cand.keyVals) == len(keyVals) && sameKeys(cand.keyVals, keyVals) {
-				return nil, fmt.Errorf("exec: fragment carries duplicate group")
-			}
+		if other.lookup(h, keyVals) != nil {
+			return nil, fmt.Errorf("exec: fragment carries duplicate group")
 		}
-		g := &group{hash: h, keyVals: keyVals, accs: accs}
-		other.groups[h] = append(other.groups[h], g)
-		other.order = append(other.order, g)
+		other.adopt(&group{hash: h, keyVals: keyVals, accs: accs})
 	}
 	return other, nil
 }

@@ -1,582 +1,122 @@
 // Vectorized aggregation: when the root Reduce/Nest sits directly on a
 // vectorizable chain, the fold consumes whole batches — the segment never
-// crosses the batch→tuple boundary at all. Partial states mirror the tuple
-// monoids exactly (same fold order, same combine functions), so results are
-// bit-identical and parallel merging is unchanged.
+// crosses the batch→tuple boundary at all. The roots keep the tuple path's
+// partial states (reducePartial, nestPartial) and aggregate states
+// (agg.go): only the argument evaluators are batch kernels, and the states'
+// batch and lane folds apply the same first-seen/combine protocol in row
+// order, so results are bit-identical and parallel merging is unchanged.
 package exec
 
 import (
-	"fmt"
-	"math"
-	"sort"
-
 	"proteus/internal/algebra"
 	"proteus/internal/expr"
 	"proteus/internal/types"
 	"proteus/internal/vbuf"
 )
 
-// vecAggState is one ungrouped aggregate folding batches. reset zeroes in
-// place (the fold closures captured the state pointer at compile time);
-// partial/absorb reuse the tuple monoids' partial types.
-type vecAggState interface {
-	reset()
-	fold(b *vbuf.Batch)
-	result() types.Value
-	partial() any
-	absorb(p any)
-}
-
-// vecCount counts selected rows (COUNT ignores its argument, like the
-// tuple accumulator).
-type vecCount struct{ n int64 }
-
-func (s *vecCount) reset()              { s.n = 0 }
-func (s *vecCount) fold(b *vbuf.Batch)  { s.n += int64(len(b.Sel)) }
-func (s *vecCount) result() types.Value { return types.IntValue(s.n) }
-func (s *vecCount) partial() any        { return s.n }
-func (s *vecCount) absorb(p any)        { s.n += p.(int64) }
-
-// vecScalar is sum/min/max over one scalar column type. Folding follows the
-// selection vector in row order with the same first-seen/combine protocol as
-// scalarAccumulator, so float results match the tuple path exactly.
-type vecScalar[T int64 | float64 | string] struct {
-	ev      func(b *vbuf.Batch) ([]T, []bool)
-	combine func(a, v T) T
-	box     func(T) types.Value
-	st      scalarPart[T]
-}
-
-func (s *vecScalar[T]) reset() { s.st = scalarPart[T]{} }
-
-func (s *vecScalar[T]) fold(b *vbuf.Batch) {
-	v, nn := s.ev(b)
-	for _, j := range b.Sel {
-		if nn != nil && nn[j] {
-			continue
-		}
-		if !s.st.seen {
-			s.st.v = v[j]
-			s.st.seen = true
-			continue
-		}
-		s.st.v = s.combine(s.st.v, v[j])
-	}
-}
-
-func (s *vecScalar[T]) result() types.Value {
-	if !s.st.seen {
-		return types.NullValue()
-	}
-	return s.box(s.st.v)
-}
-
-func (s *vecScalar[T]) partial() any { return s.st }
-
-func (s *vecScalar[T]) absorb(p any) {
-	o := p.(scalarPart[T])
-	if !o.seen {
-		return
-	}
-	if !s.st.seen {
-		s.st = o
-		return
-	}
-	s.st.v = s.combine(s.st.v, o.v)
-}
-
-// vecAvg folds AVG as (sum, count), merged before the quotient.
-type vecAvg struct {
-	ev vecFloat
-	st avgPart
-}
-
-func (s *vecAvg) reset() { s.st = avgPart{} }
-
-func (s *vecAvg) fold(b *vbuf.Batch) {
-	v, nn := s.ev(b)
-	for _, j := range b.Sel {
-		if nn != nil && nn[j] {
-			continue
-		}
-		s.st.sum += v[j]
-		s.st.n++
-	}
-}
-
-func (s *vecAvg) result() types.Value {
-	if s.st.n == 0 {
-		return types.NullValue()
-	}
-	return types.FloatValue(s.st.sum / float64(s.st.n))
-}
-
-func (s *vecAvg) partial() any { return s.st }
-
-func (s *vecAvg) absorb(p any) {
-	o := p.(avgPart)
-	s.st.sum += o.sum
-	s.st.n += o.n
-}
-
-// canVecAgg statically mirrors compileVecAgg's coverage.
+// canVecAgg reports whether a has a batch fold: the monoid table's answer
+// for the argument's vectorized kind.
 func (c *Compiler) canVecAgg(a expr.Agg, schema *types.RecordType, bind string) bool {
-	switch a.Kind {
-	case expr.AggCount:
-		return true
-	case expr.AggSum, expr.AggAvg:
+	var arg types.Kind
+	if typedArg(a.Kind) {
 		k, ok := c.canVecExpr(a.Arg, schema, bind)
-		return ok && (k == types.KindInt || k == types.KindFloat)
-	case expr.AggMin, expr.AggMax:
-		k, ok := c.canVecExpr(a.Arg, schema, bind)
-		return ok && (k == types.KindInt || k == types.KindFloat || k == types.KindString)
+		if !ok {
+			return false
+		}
+		arg = k
 	}
-	return false
+	m, ok := monoidOf(a.Kind, arg)
+	return ok && m.batch
 }
 
-// compileVecAgg builds the batch-folding state for one aggregate, with the
-// exact combine functions of the tuple accumulators (math.Max/Min for
-// floats keeps NaN behavior identical).
-func (c *Compiler) compileVecAgg(a expr.Agg) (vecAggState, error) {
-	if a.Kind == expr.AggCount {
-		return &vecCount{}, nil
-	}
-	t, err := c.typeOf(a.Arg)
-	if err != nil {
-		return nil, err
-	}
-	if a.Kind == expr.AggAvg {
-		ev, err := c.compileVecFloat(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		return &vecAvg{ev: ev}, nil
-	}
-	switch t.Kind() {
-	case types.KindInt:
-		ev, err := c.compileVecInt(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		switch a.Kind {
-		case expr.AggSum:
-			return &vecScalar[int64]{ev: ev, combine: func(a, v int64) int64 { return a + v }, box: types.IntValue}, nil
-		case expr.AggMax:
-			return &vecScalar[int64]{ev: ev, combine: func(a, v int64) int64 { return max(a, v) }, box: types.IntValue}, nil
-		case expr.AggMin:
-			return &vecScalar[int64]{ev: ev, combine: func(a, v int64) int64 { return min(a, v) }, box: types.IntValue}, nil
-		}
-	case types.KindFloat:
-		ev, err := c.compileVecFloat(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		switch a.Kind {
-		case expr.AggSum:
-			return &vecScalar[float64]{ev: ev, combine: func(a, v float64) float64 { return a + v }, box: types.FloatValue}, nil
-		case expr.AggMax:
-			return &vecScalar[float64]{ev: ev, combine: math.Max, box: types.FloatValue}, nil
-		case expr.AggMin:
-			return &vecScalar[float64]{ev: ev, combine: math.Min, box: types.FloatValue}, nil
-		}
-	case types.KindString:
-		ev, err := c.compileVecStr(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		switch a.Kind {
-		case expr.AggMax:
-			return &vecScalar[string]{ev: ev, combine: func(a, v string) string { return max(a, v) }, box: types.StringValue}, nil
-		case expr.AggMin:
-			return &vecScalar[string]{ev: ev, combine: func(a, v string) string { return min(a, v) }, box: types.StringValue}, nil
-		}
-	}
-	return nil, fmt.Errorf("exec: aggregate %s is not vectorizable", a.Kind)
-}
-
-// vecReducePartial is the mergeable state of a vectorized ungrouped Reduce.
-type vecReducePartial struct {
-	names    []string
-	states   []vecAggState
-	rowsCell *int64
-}
-
-func (p *vecReducePartial) reset() {
-	for _, st := range p.states {
-		st.reset()
-	}
-}
-
-func (p *vecReducePartial) merge(o partialState) error {
-	other, ok := o.(*vecReducePartial)
-	if !ok {
-		return fmt.Errorf("exec: cannot merge %T into vectorized reduce state", o)
-	}
-	for i, st := range p.states {
-		st.absorb(other.states[i].partial())
-	}
-	return nil
-}
-
-func (p *vecReducePartial) result() (*Result, error) {
-	if p.rowsCell != nil {
-		*p.rowsCell = 1
-	}
-	vals := make([]types.Value, len(p.states))
-	for i, st := range p.states {
-		vals[i] = st.result()
-	}
-	return &Result{Cols: p.names, Rows: []types.Value{types.RecordValue(p.names, vals)}}, nil
-}
-
-// tryVecReduce compiles a Reduce whose child is a vectorizable chain into a
-// batch-folding driver. ok=false means nothing was committed and the tuple
-// path proceeds normally; every eligibility check is static and precedes
-// slot allocation.
-func (c *Compiler) tryVecReduce(red *algebra.Reduce) (func(r *vbuf.Regs) error, *vecReducePartial, bool, error) {
-	if len(red.Aggs) == 1 && (red.Aggs[0].Kind == expr.AggBag || red.Aggs[0].Kind == expr.AggList) {
-		return nil, nil, false, nil // collection yield stays tuple-at-a-time
-	}
-	ch := vecChainOf(red.Child)
+// vecRootEligible runs the static checks shared by the vectorized roots: a
+// vectorizable chain below, batch folds for every aggregate in aggs, and a
+// vectorizable embedded predicate. ch is nil when the root stays
+// tuple-at-a-time.
+func (c *Compiler) vecRootEligible(child algebra.Node, aggs []expr.Agg, pred expr.Expr) (*vecChain, *types.RecordType) {
+	ch := vecChainOf(child)
 	if ch == nil {
-		return nil, nil, false, nil
+		return nil, nil
 	}
 	schema, ok := c.vecEligible(ch)
 	if !ok {
-		return nil, nil, false, nil
+		return nil, nil
 	}
-	for _, a := range red.Aggs {
+	for _, a := range aggs {
 		if !c.canVecAgg(a, schema, ch.scan.Binding) {
-			return nil, nil, false, nil
+			return nil, nil
 		}
 	}
-	if red.Pred != nil {
-		if k, ok := c.canVecExpr(red.Pred, schema, ch.scan.Binding); !ok || k != types.KindBool {
-			return nil, nil, false, nil
+	if pred != nil {
+		if k, ok := c.canVecExpr(pred, schema, ch.scan.Binding); !ok || k != types.KindBool {
+			return nil, nil
 		}
+	}
+	return ch, schema
+}
+
+// compileVecPred compiles an optional embedded predicate as a batch filter.
+func (c *Compiler) compileVecPred(pred expr.Expr) (vecFilter, error) {
+	if pred == nil {
+		return nil, nil
+	}
+	return c.compileVecFilter(pred)
+}
+
+// tryVecReduce compiles a Reduce whose child is a vectorizable chain into a
+// batch-folding driver over a reducePartial. ok=false means nothing was
+// committed and the tuple path proceeds normally; every eligibility check
+// is static and precedes slot allocation.
+func (c *Compiler) tryVecReduce(red *algebra.Reduce) (func(r *vbuf.Regs) error, *reducePartial, bool, error) {
+	if len(red.Aggs) == 1 && (red.Aggs[0].Kind == expr.AggBag || red.Aggs[0].Kind == expr.AggList) {
+		return nil, nil, false, nil // collection yield: vsort.go's columnar collect
+	}
+	ch, _ := c.vecRootEligible(red.Child, red.Aggs, red.Pred)
+	if ch == nil {
+		return nil, nil, false, nil
 	}
 
 	seg, err := c.compileVecSeg(ch)
 	if err != nil {
 		return nil, nil, true, err
 	}
-	var predFilter vecFilter
-	if red.Pred != nil {
-		predFilter, err = c.compileVecFilter(red.Pred)
-		if err != nil {
-			return nil, nil, true, err
-		}
+	predFilter, err := c.compileVecPred(red.Pred)
+	if err != nil {
+		return nil, nil, true, err
 	}
-	st := &vecReducePartial{names: red.Names, rowsCell: c.rootRowsCell(red)}
-	for _, a := range red.Aggs {
-		agg, err := c.compileVecAgg(a)
-		if err != nil {
-			return nil, nil, true, err
-		}
-		st.states = append(st.states, agg)
+	accs, err := c.compileAggStates(red.Aggs, true)
+	if err != nil {
+		return nil, nil, true, err
 	}
-	states := st.states
+	st := &reducePartial{names: red.Names, accs: accs, rowsCell: c.rootRowsCell(red)}
 	terminate := func(b *vbuf.Batch, _ *vbuf.Regs) error {
 		if predFilter != nil {
 			predFilter(b)
 		}
-		for _, s := range states {
-			s.fold(b)
+		for _, s := range st.accs {
+			s.foldBatch(b)
 		}
 		return nil
 	}
-	c.note("reduce over %s: vectorized fold (%d aggregates)", ch.scan.Dataset, len(states))
+	c.note("reduce over %s: vectorized fold (%d aggregates)", ch.scan.Dataset, len(accs))
 	return c.compileVecDriver(seg, terminate), st, true, nil
 }
 
-// Grouped aggregation --------------------------------------------------------
-
-// vecColHolder shares one kernel evaluation per batch among all group
-// states of an aggregate: bind refreshes the views once, every group's
-// foldIdx then reads single lanes.
-type vecColHolder[T any] struct {
-	v    []T
-	null []bool
-}
-
-// vecGroupState folds single selected lanes into one group's aggregate.
-type vecGroupState interface {
-	foldIdx(j int32)
-	result() types.Value
-	partial() any
-	absorb(p any)
-}
-
-// vecNestAgg describes one aggregate of a vectorized Nest: the shared
-// per-batch bind plus the per-group state factory.
-type vecNestAgg struct {
-	bind  func(b *vbuf.Batch)
-	fresh func() vecGroupState
-}
-
-type nestCount struct{ n int64 }
-
-func (s *nestCount) foldIdx(int32)       { s.n++ }
-func (s *nestCount) result() types.Value { return types.IntValue(s.n) }
-func (s *nestCount) partial() any        { return s.n }
-func (s *nestCount) absorb(p any)        { s.n += p.(int64) }
-
-type nestScalar[T int64 | float64 | string] struct {
-	h       *vecColHolder[T]
-	combine func(a, v T) T
-	box     func(T) types.Value
-	st      scalarPart[T]
-}
-
-func (s *nestScalar[T]) foldIdx(j int32) {
-	if s.h.null != nil && s.h.null[j] {
-		return
-	}
-	v := s.h.v[j]
-	if !s.st.seen {
-		s.st.v = v
-		s.st.seen = true
-		return
-	}
-	s.st.v = s.combine(s.st.v, v)
-}
-
-func (s *nestScalar[T]) result() types.Value {
-	if !s.st.seen {
-		return types.NullValue()
-	}
-	return s.box(s.st.v)
-}
-
-func (s *nestScalar[T]) partial() any { return s.st }
-
-func (s *nestScalar[T]) absorb(p any) {
-	o := p.(scalarPart[T])
-	if !o.seen {
-		return
-	}
-	if !s.st.seen {
-		s.st = o
-		return
-	}
-	s.st.v = s.combine(s.st.v, o.v)
-}
-
-type nestAvg struct {
-	h  *vecColHolder[float64]
-	st avgPart
-}
-
-func (s *nestAvg) foldIdx(j int32) {
-	if s.h.null != nil && s.h.null[j] {
-		return
-	}
-	s.st.sum += s.h.v[j]
-	s.st.n++
-}
-
-func (s *nestAvg) result() types.Value {
-	if s.st.n == 0 {
-		return types.NullValue()
-	}
-	return types.FloatValue(s.st.sum / float64(s.st.n))
-}
-
-func (s *nestAvg) partial() any { return s.st }
-
-func (s *nestAvg) absorb(p any) {
-	o := p.(avgPart)
-	s.st.sum += o.sum
-	s.st.n += o.n
-}
-
-func nestScalarAgg[T int64 | float64 | string](
-	ev func(b *vbuf.Batch) ([]T, []bool),
-	combine func(a, v T) T,
-	box func(T) types.Value,
-) *vecNestAgg {
-	h := &vecColHolder[T]{}
-	return &vecNestAgg{
-		bind:  func(b *vbuf.Batch) { h.v, h.null = ev(b) },
-		fresh: func() vecGroupState { return &nestScalar[T]{h: h, combine: combine, box: box} },
-	}
-}
-
-// compileVecNestAgg builds the shared-holder aggregate for one Nest agg.
-func (c *Compiler) compileVecNestAgg(a expr.Agg) (*vecNestAgg, error) {
-	if a.Kind == expr.AggCount {
-		return &vecNestAgg{fresh: func() vecGroupState { return &nestCount{} }}, nil
-	}
-	t, err := c.typeOf(a.Arg)
-	if err != nil {
-		return nil, err
-	}
-	if a.Kind == expr.AggAvg {
-		ev, err := c.compileVecFloat(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		h := &vecColHolder[float64]{}
-		return &vecNestAgg{
-			bind:  func(b *vbuf.Batch) { h.v, h.null = ev(b) },
-			fresh: func() vecGroupState { return &nestAvg{h: h} },
-		}, nil
-	}
-	switch t.Kind() {
-	case types.KindInt:
-		ev, err := c.compileVecInt(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		switch a.Kind {
-		case expr.AggSum:
-			return nestScalarAgg(ev, func(a, v int64) int64 { return a + v }, types.IntValue), nil
-		case expr.AggMax:
-			return nestScalarAgg(ev, func(a, v int64) int64 { return max(a, v) }, types.IntValue), nil
-		case expr.AggMin:
-			return nestScalarAgg(ev, func(a, v int64) int64 { return min(a, v) }, types.IntValue), nil
-		}
-	case types.KindFloat:
-		ev, err := c.compileVecFloat(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		switch a.Kind {
-		case expr.AggSum:
-			return nestScalarAgg(ev, func(a, v float64) float64 { return a + v }, types.FloatValue), nil
-		case expr.AggMax:
-			return nestScalarAgg(ev, math.Max, types.FloatValue), nil
-		case expr.AggMin:
-			return nestScalarAgg(ev, math.Min, types.FloatValue), nil
-		}
-	case types.KindString:
-		ev, err := c.compileVecStr(a.Arg)
-		if err != nil {
-			return nil, err
-		}
-		switch a.Kind {
-		case expr.AggMax:
-			return nestScalarAgg(ev, func(a, v string) string { return max(a, v) }, types.StringValue), nil
-		case expr.AggMin:
-			return nestScalarAgg(ev, func(a, v string) string { return min(a, v) }, types.StringValue), nil
-		}
-	}
-	return nil, fmt.Errorf("exec: aggregate %s is not vectorizable", a.Kind)
-}
-
-// vecNestPartial is the mergeable state of a vectorized single-int-key Nest.
-// Like the tuple fast path, result order is ascending by key, and merging
-// adopts later workers' group states for first-seen keys.
-type vecNestPartial struct {
-	outNames []string
-	makers   []*vecNestAgg
-	groups   map[int64][]vecGroupState
-	order    []int64
-	// nullGroup holds the NULL-key group's states (nil = no NULL keys
-	// seen), matching the tuple paths and the Volcano baseline.
-	nullGroup []vecGroupState
-	rowsCell  *int64
-}
-
-func (p *vecNestPartial) freshStates() []vecGroupState {
-	states := make([]vecGroupState, len(p.makers))
-	for i, m := range p.makers {
-		states[i] = m.fresh()
-	}
-	return states
-}
-
-func (p *vecNestPartial) reset() {
-	p.groups = map[int64][]vecGroupState{}
-	p.order = nil
-	p.nullGroup = nil
-}
-
-func (p *vecNestPartial) merge(o partialState) error {
-	other, ok := o.(*vecNestPartial)
-	if !ok {
-		return fmt.Errorf("exec: cannot merge %T into vectorized nest state", o)
-	}
-	for _, k := range other.order {
-		states, exists := p.groups[k]
-		if !exists {
-			p.groups[k] = other.groups[k]
-			p.order = append(p.order, k)
-			continue
-		}
-		for i, st := range states {
-			st.absorb(other.groups[k][i].partial())
-		}
-	}
-	if other.nullGroup != nil {
-		if p.nullGroup == nil {
-			p.nullGroup = other.nullGroup
-		} else {
-			for i, st := range p.nullGroup {
-				st.absorb(other.nullGroup[i].partial())
-			}
-		}
-	}
-	return nil
-}
-
-func (p *vecNestPartial) result() (*Result, error) {
-	if p.rowsCell != nil {
-		n := int64(len(p.order))
-		if p.nullGroup != nil {
-			n++
-		}
-		*p.rowsCell = n
-	}
-	sort.Slice(p.order, func(i, j int) bool { return p.order[i] < p.order[j] })
-	rows := make([]types.Value, 0, len(p.order)+1)
-	if p.nullGroup != nil {
-		vals := make([]types.Value, 0, len(p.outNames))
-		vals = append(vals, types.NullValue())
-		for _, st := range p.nullGroup {
-			vals = append(vals, st.result())
-		}
-		rows = append(rows, types.RecordValue(p.outNames, vals))
-	}
-	for _, k := range p.order {
-		vals := make([]types.Value, 0, len(p.outNames))
-		vals = append(vals, types.IntValue(k))
-		for _, st := range p.groups[k] {
-			vals = append(vals, st.result())
-		}
-		rows = append(rows, types.RecordValue(p.outNames, vals))
-	}
-	return &Result{Cols: p.outNames, Rows: rows}, nil
-}
-
 // tryVecNest compiles a single-int-key Nest over a vectorizable chain into
-// a batch-grouping driver: the key column is evaluated once per batch, the
-// grouping loop walks the selection vector, and group states fold lanes via
-// shared column holders. Composite and non-int keys stay tuple-at-a-time.
-func (c *Compiler) tryVecNest(n *algebra.Nest) (func(r *vbuf.Regs) error, *vecNestPartial, bool, error) {
+// a batch-grouping driver over a nestPartial: the key and every argument
+// kernel are evaluated once per batch, the grouping loop walks the
+// selection vector, and group states fold lanes from their aggregates'
+// bound column holders. Composite and non-int keys stay tuple-at-a-time.
+func (c *Compiler) tryVecNest(n *algebra.Nest) (func(r *vbuf.Regs) error, *nestPartial, bool, error) {
 	if len(n.GroupBy) != 1 {
 		return nil, nil, false, nil
 	}
-	ch := vecChainOf(n.Child)
+	ch, schema := c.vecRootEligible(n.Child, n.Aggs, n.Pred)
 	if ch == nil {
-		return nil, nil, false, nil
-	}
-	schema, ok := c.vecEligible(ch)
-	if !ok {
 		return nil, nil, false, nil
 	}
 	if k, ok := c.canVecExpr(n.GroupBy[0], schema, ch.scan.Binding); !ok || k != types.KindInt {
 		return nil, nil, false, nil
-	}
-	for _, a := range n.Aggs {
-		if !c.canVecAgg(a, schema, ch.scan.Binding) {
-			return nil, nil, false, nil
-		}
-	}
-	if n.Pred != nil {
-		if k, ok := c.canVecExpr(n.Pred, schema, ch.scan.Binding); !ok || k != types.KindBool {
-			return nil, nil, false, nil
-		}
 	}
 
 	seg, err := c.compileVecSeg(ch)
@@ -587,81 +127,36 @@ func (c *Compiler) tryVecNest(n *algebra.Nest) (func(r *vbuf.Regs) error, *vecNe
 	if err != nil {
 		return nil, nil, true, err
 	}
-	var predFilter vecFilter
-	if n.Pred != nil {
-		predFilter, err = c.compileVecFilter(n.Pred)
-		if err != nil {
-			return nil, nil, true, err
-		}
+	predFilter, err := c.compileVecPred(n.Pred)
+	if err != nil {
+		return nil, nil, true, err
 	}
-	st := &vecNestPartial{
-		rowsCell: c.rootRowsCell(n),
-		outNames: append(append([]string{}, n.GroupNames...), n.AggNames...),
-	}
-	for _, a := range n.Aggs {
-		m, err := c.compileVecNestAgg(a)
-		if err != nil {
-			return nil, nil, true, err
-		}
-		st.makers = append(st.makers, m)
+	st := c.newNestPartial(n)
+	st.singleInt = true
+	if st.protos, err = c.compileAggStates(n.Aggs, true); err != nil {
+		return nil, nil, true, err
 	}
 
-	makers := st.makers
-	gauge := c.mem
-	var pending int64
-	groupBytes := int64(96 + len(n.GroupBy)*48 + len(n.Aggs)*96)
+	protos := st.protos
 	terminate := func(b *vbuf.Batch, _ *vbuf.Regs) error {
 		if predFilter != nil {
 			predFilter(b)
 		}
 		kv, kn := keyKernel(b)
-		for _, m := range makers {
-			if m.bind != nil {
-				m.bind(b)
-			}
+		for _, a := range protos {
+			a.bind(b)
 		}
 		for _, j := range b.Sel {
-			if kn != nil && kn[j] {
-				// NULL key: its own group, like the tuple paths.
-				if st.nullGroup == nil {
-					st.nullGroup = st.freshStates()
-					if gauge != nil {
-						if pending += groupBytes; pending >= memQuantum {
-							err := gauge.charge(pending)
-							pending = 0
-							if err != nil {
-								return err
-							}
-						}
-					}
-				}
-				for _, s := range st.nullGroup {
-					s.foldIdx(j)
-				}
-				continue
+			accs, err := st.intGroup(kv[j], kn != nil && kn[j])
+			if err != nil {
+				return err
 			}
-			k := kv[j]
-			states, exists := st.groups[k]
-			if !exists {
-				states = st.freshStates()
-				st.groups[k] = states
-				st.order = append(st.order, k)
-				if gauge != nil {
-					if pending += groupBytes; pending >= memQuantum {
-						err := gauge.charge(pending)
-						pending = 0
-						if err != nil {
-							return err
-						}
-					}
-				}
-			}
-			for _, s := range states {
-				s.foldIdx(j)
+			for _, s := range accs {
+				s.foldLane(j)
 			}
 		}
 		return nil
 	}
-	c.note("nest over %s: vectorized grouping (int key, %d aggregates)", ch.scan.Dataset, len(makers))
+	c.note("nest over %s: vectorized grouping (int key, %d aggregates)", ch.scan.Dataset, len(protos))
 	return c.compileVecDriver(seg, terminate), st, true, nil
 }

@@ -496,6 +496,50 @@ func (c *Compiler) compileVecComparison(x *expr.BinOp) (vecBool, error) {
 	return nil, fmt.Errorf("exec: comparison %s×%s is not vectorizable", lt, rt)
 }
 
+// ordCmp builds one tuple comparator per operator over any ordered type —
+// the tuple twin of ordCmpKernel. The result is meaningful only when both
+// operands are non-NULL (ok).
+func ordCmp[T cmp.Ordered](op expr.BinKind, l, r func(rg *vbuf.Regs) (T, bool)) evalBool {
+	switch op {
+	case expr.OpEq:
+		return func(rg *vbuf.Regs) (bool, bool) {
+			a, aok := l(rg)
+			b, bok := r(rg)
+			return a == b, aok && bok
+		}
+	case expr.OpNe:
+		return func(rg *vbuf.Regs) (bool, bool) {
+			a, aok := l(rg)
+			b, bok := r(rg)
+			return a != b, aok && bok
+		}
+	case expr.OpLt:
+		return func(rg *vbuf.Regs) (bool, bool) {
+			a, aok := l(rg)
+			b, bok := r(rg)
+			return a < b, aok && bok
+		}
+	case expr.OpLe:
+		return func(rg *vbuf.Regs) (bool, bool) {
+			a, aok := l(rg)
+			b, bok := r(rg)
+			return a <= b, aok && bok
+		}
+	case expr.OpGt:
+		return func(rg *vbuf.Regs) (bool, bool) {
+			a, aok := l(rg)
+			b, bok := r(rg)
+			return a > b, aok && bok
+		}
+	default:
+		return func(rg *vbuf.Regs) (bool, bool) {
+			a, aok := l(rg)
+			b, bok := r(rg)
+			return a >= b, aok && bok
+		}
+	}
+}
+
 // ordCmpKernel builds one comparison kernel per operator over any ordered
 // column type (Go's operators on cmp.Ordered match the tuple comparators,
 // including float NaN behavior).

@@ -286,12 +286,8 @@ func (c *Compiler) tryVecCollect(red *algebra.Reduce) (func(r *vbuf.Regs) error,
 	if !ok {
 		return nil, nil, false, nil
 	}
-	ch := vecChainOf(red.Child)
+	ch, schema := c.vecRootEligible(red.Child, nil, red.Pred)
 	if ch == nil {
-		return nil, nil, false, nil
-	}
-	schema, ok := c.vecEligible(ch)
-	if !ok {
 		return nil, nil, false, nil
 	}
 	kinds := make([]types.Kind, len(rec.Exprs))
@@ -302,22 +298,14 @@ func (c *Compiler) tryVecCollect(red *algebra.Reduce) (func(r *vbuf.Regs) error,
 		}
 		kinds[i] = k
 	}
-	if red.Pred != nil {
-		if k, ok := c.canVecExpr(red.Pred, schema, ch.scan.Binding); !ok || k != types.KindBool {
-			return nil, nil, false, nil
-		}
-	}
 
 	seg, err := c.compileVecSeg(ch)
 	if err != nil {
 		return nil, nil, true, err
 	}
-	var predFilter vecFilter
-	if red.Pred != nil {
-		predFilter, err = c.compileVecFilter(red.Pred)
-		if err != nil {
-			return nil, nil, true, err
-		}
+	predFilter, err := c.compileVecPred(red.Pred)
+	if err != nil {
+		return nil, nil, true, err
 	}
 	st := &vecCollectPartial{
 		resName:  red.Names[0],
